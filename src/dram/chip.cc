@@ -53,8 +53,8 @@ Chip::write(const WordAddr &addr, std::uint64_t data)
     slot.writeEpoch = ++epoch_;
 }
 
-ecc::Word72
-Chip::rawCodeword(const WordAddr &addr) const
+ChipReadResult
+Chip::read(const WordAddr &addr)
 {
     const std::uint64_t packed = packWordAddr(geometry_, addr);
     ecc::Word72 codeword;
@@ -67,13 +67,7 @@ Chip::rawCodeword(const WordAddr &addr) const
         codeword = backgroundWord(packed);
     }
     codeword ^= injector_.corruption(addr, writeEpoch);
-    return codeword;
-}
-
-ChipReadResult
-Chip::read(const WordAddr &addr)
-{
-    const auto decoded = code_.decode(rawCodeword(addr));
+    const auto decoded = code_.decode(codeword);
     ChipReadResult result;
     result.internalStatus = decoded.status;
     if (xedEnable_ && decoded.status != ecc::DecodeStatus::NoError) {
