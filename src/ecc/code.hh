@@ -86,31 +86,6 @@ class Secded7264
         return detected;
     }
 
-    /**
-     * Batched syndromes over a transposed (plane-major) block:
-     * planes[s * stride + c] holds byte s of word c (bytes 0..7 are
-     * the lo bytes LSB-first, byte 8 is hi); writes one byte per word
-     * into out[c], zero iff word c is a valid codeword. Only the
-     * zero/nonzero distinction is contractual (this default rebuilds
-     * each word and probes isValidCodeword()); the concrete codes
-     * write the real 8-bit syndrome via the slice-table vector
-     * kernels. No allocation.
-     */
-    virtual void
-    syndromeManySoa(const std::uint8_t *planes, std::size_t stride,
-                    std::size_t count, std::uint8_t *out) const
-    {
-        for (std::size_t c = 0; c < count; ++c) {
-            Word72 word;
-            word.lo = 0;
-            for (unsigned b = 0; b < 8; ++b)
-                word.lo |=
-                    static_cast<std::uint64_t>(planes[b * stride + c])
-                    << (8 * b);
-            word.hi = planes[8 * stride + c];
-            out[c] = isValidCodeword(word) ? 0 : 1;
-        }
-    }
 };
 
 } // namespace xed::ecc
