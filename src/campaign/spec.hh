@@ -49,8 +49,7 @@
  *                  "scrubIntervalHours": 0,
  *                  "fitOverrides": {...}}, ...],
  *     // either kind:
- *     "threads": 0,                 // 0 = auto (env, then hardware)
- *     "evalBatch": 0                // 0 = auto (env, then default)
+ *     "threads": 0                  // 0 = auto (env, then hardware)
  *   }
  */
 
@@ -99,15 +98,6 @@ struct CampaignSpec
     CampaignKind kind = CampaignKind::Reliability;
     std::uint64_t seed = 0;
     unsigned threads = 0;
-    /**
-     * Faulty-path evaluation batch forwarded to McConfig::evalBatch
-     * (0 = auto). Like "threads", it only changes how the work is
-     * scheduled -- never the result -- so it is deliberately left out
-     * of specToJson and therefore out of the spec hash: stores written
-     * with different batch sizes stay byte-identical and resumable
-     * against each other.
-     */
-    unsigned evalBatch = 0;
 
     // Reliability campaigns.
     std::vector<faultsim::SchemeKind> schemes;

@@ -100,23 +100,6 @@ envU64(const char *name)
     return parsed;
 }
 
-/**
- * Read an environment variable as a strict u64 that must be positive.
- * For knobs where 0 is meaningless rather than an "auto" alias
- * (XED_MC_EVAL_BATCH): unset still returns nullopt, but an explicit 0
- * throws the same loud, variable-naming error as garbage would.
- */
-inline std::optional<std::uint64_t>
-envU64Positive(const char *name)
-{
-    const auto parsed = envU64(name);
-    if (parsed && *parsed == 0)
-        throw std::runtime_error(
-            std::string(name) +
-            ": expected a positive integer; 0 is not a valid value");
-    return parsed;
-}
-
 } // namespace xed
 
 #endif // XED_COMMON_ENV_HH

@@ -24,34 +24,6 @@ namespace
  */
 constexpr std::size_t eventReserve = 64;
 
-/** Default faulty-path evaluation batch (McConfig::evalBatch auto). */
-constexpr std::size_t defaultEvalBatch = 16;
-
-/** Backstop against absurd batch sizes reserving gigabytes of queue. */
-constexpr std::size_t maxEvalBatch = std::size_t{1} << 20;
-
-/**
- * Resolve McConfig::evalBatch: a nonzero config value wins, else the
- * XED_MC_EVAL_BATCH environment variable, else the default. The env
- * knob has no "auto" spelling (unset already means auto), so an
- * explicit 0 -- like any garbage -- throws an error naming the knob
- * instead of silently picking some batch size.
- */
-std::size_t
-resolveEvalBatch(unsigned requested)
-{
-    if (requested != 0)
-        return std::min<std::size_t>(requested, maxEvalBatch);
-    if (const auto env = envU64Positive("XED_MC_EVAL_BATCH")) {
-        if (*env > maxEvalBatch)
-            throw std::runtime_error(
-                "XED_MC_EVAL_BATCH: " + std::to_string(*env) +
-                " is not a sane evaluation batch size");
-        return static_cast<std::size_t>(*env);
-    }
-    return defaultEvalBatch;
-}
-
 /**
  * Simulate systems [begin, end) and accumulate into @p partial. Each
  * system's RNG is derived from (seed, s) alone, so the shard
@@ -144,30 +116,6 @@ runShard(const Scheme &scheme, const McConfig &config,
             flushProgress();
     };
 
-    // Faulty-path evaluation batch (DESIGN.md section 4j): survivor
-    // lanes are queued and flushed in runs of evalBatch back-to-back
-    // simulateSystem calls, so the expensive scheme-evaluation body
-    // executes over a dense batch (warm scratch buffers and probability
-    // cache, no interleaved filter work) instead of one lane at a time.
-    // Survivors are collected and flushed in ascending system order and
-    // each one runs the unmodified scalar body from its own derived
-    // stream; zero-lane crediting is pure integer bookkeeping that
-    // commutes with evaluation, so the result is byte-identical for
-    // every batch size, including 1.
-    const std::size_t evalBatch = resolveEvalBatch(config.evalBatch);
-    std::vector<std::uint64_t> survivors;
-    survivors.reserve(evalBatch);
-    const auto flushSurvivors = [&] {
-        for (const std::uint64_t id : survivors)
-            simulateSystem(id);
-        survivors.clear();
-    };
-    const auto deferSystem = [&](std::uint64_t id) {
-        survivors.push_back(id);
-        if (survivors.size() >= evalBatch)
-            flushSurvivors();
-    };
-
     // Vector zero-fault filter (Knuth sampler only: its zero test is
     // one draw + compare per channel). A batch whose streams are all
     // provably zero-fault is credited without constructing a single
@@ -199,14 +147,13 @@ runShard(const Scheme &scheme, const McConfig &config,
                     if (++batchedSystems >= progressBatch)
                         flushProgress();
                 } else {
-                    deferSystem(s + i);
+                    simulateSystem(s + i);
                 }
             }
         }
     }
     for (; s < end; ++s)
-        deferSystem(s);
-    flushSurvivors();
+        simulateSystem(s);
     flushProgress();
     for (unsigned y = 1; y <= creditYears; ++y)
         partial.failByYear[y].addMany(failByYear[y], systemsTotal);

@@ -62,18 +62,6 @@ struct McConfig
      */
     unsigned threads = 0;
     /**
-     * Faulty-path evaluation batch (DESIGN.md section 4j): systems the
-     * zero-fault filter cannot prove clean are queued and evaluated in
-     * runs of this many back-to-back scheme evaluations, amortizing
-     * dispatch and table setup across survivors. 0 (the default) means
-     * "auto": the XED_MC_EVAL_BATCH environment variable if set (a
-     * strict parse; garbage or an explicit 0 throws), else 16. Each
-     * survivor still runs the unmodified per-system body in ascending
-     * system order, so the result is byte-identical for every batch
-     * size, including 1.
-     */
-    unsigned evalBatch = 0;
-    /**
      * Per-chip FIT rates. Defaults to Table I; campaign specs may
      * override individual entries (sensitivity studies, vendor data).
      */

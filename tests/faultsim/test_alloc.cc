@@ -158,29 +158,6 @@ TEST(AllocationContract, SteadyStateIsAllocationFreeWithTracingOn)
         << "into 1500 extra traced systems";
 }
 
-TEST(AllocationContract, SurvivorDeferralBatchIsAllocationFree)
-{
-    // The batched faulty path (DESIGN.md section 4j): the survivor
-    // buffer is reserved during shard setup, so no evaluation batch
-    // size may introduce per-system allocations -- the shard total
-    // stays independent of the system count at every batch size.
-    McConfig cfg;
-    cfg.seed = 61799;
-    const auto scheme = makeScheme(SchemeKind::Secded, OnDieOptions{});
-    for (const unsigned evalBatch : {1u, 8u, 1024u}) {
-        cfg.evalBatch = evalBatch;
-        const std::uint64_t shortRun =
-            shardAllocations(*scheme, cfg, 1500);
-        const std::uint64_t longRun =
-            shardAllocations(*scheme, cfg, 3000);
-        EXPECT_EQ(shortRun, longRun)
-            << "evalBatch " << evalBatch << ": "
-            << (longRun - shortRun)
-            << " steady-state allocations leaked into 1500 extra "
-            << "systems";
-    }
-}
-
 TEST(AllocationContract, EvaluateDimmWithScratchDoesNotAllocate)
 {
     // Direct check of the Scheme::evaluateDimm scratch contract: with

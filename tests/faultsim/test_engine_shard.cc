@@ -9,9 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
 
 #include "faultsim/engine.hh"
 
@@ -43,91 +40,7 @@ expectSameResult(const McResult &a, const McResult &b)
     EXPECT_EQ(a.failureTypes.all(), b.failureTypes.all());
 }
 
-/** expectSameResult plus attribution and the autopsy exemplars: the
- *  full McResult, byte for byte. */
-void
-expectIdenticalResult(const McResult &a, const McResult &b)
-{
-    expectSameResult(a, b);
-    EXPECT_EQ(a.attribution.byClassKinds, b.attribution.byClassKinds);
-    EXPECT_EQ(a.attribution.byOutcome, b.attribution.byOutcome);
-    ASSERT_EQ(a.autopsy.size(), b.autopsy.size());
-    for (std::size_t i = 0; i < a.autopsy.size(); ++i) {
-        EXPECT_EQ(a.autopsy[i].system, b.autopsy[i].system) << i;
-        EXPECT_EQ(a.autopsy[i].timeHours, b.autopsy[i].timeHours) << i;
-        EXPECT_STREQ(a.autopsy[i].type, b.autopsy[i].type) << i;
-        EXPECT_EQ(a.autopsy[i].kindsMask, b.autopsy[i].kindsMask) << i;
-        EXPECT_EQ(static_cast<int>(a.autopsy[i].cls),
-                  static_cast<int>(b.autopsy[i].cls))
-            << i;
-        EXPECT_EQ(static_cast<int>(a.autopsy[i].outcome),
-                  static_cast<int>(b.autopsy[i].outcome))
-            << i;
-    }
-}
-
 } // namespace
-
-TEST(EngineShard, EvalBatchSizeNeverChangesTheResult)
-{
-    // The survivor-deferral batch (DESIGN.md section 4j) schedules
-    // which systems evaluate when; it must never reach the results.
-    // Every batch size -- explicit, from the environment knob, or the
-    // default -- must reproduce the evalBatch=1 shard byte for byte,
-    // autopsy exemplars included.
-    ::unsetenv("XED_MC_EVAL_BATCH");
-    McConfig cfg = smallConfig();
-    cfg.systems = 2000;
-    for (const SchemeKind kind : {SchemeKind::Secded, SchemeKind::Xed}) {
-        const auto scheme = makeScheme(kind, OnDieOptions{});
-        cfg.evalBatch = 1;
-        const McResult baseline =
-            runMonteCarloShard(*scheme, cfg, 0, cfg.systems);
-        ASSERT_GT(baseline.failByYear[7].trials(), 0u);
-        for (const unsigned batch : {8u, 16u, 1024u}) {
-            cfg.evalBatch = batch;
-            expectIdenticalResult(
-                runMonteCarloShard(*scheme, cfg, 0, cfg.systems),
-                baseline);
-        }
-        cfg.evalBatch = 0; // auto: environment knob, then default 16
-        ::setenv("XED_MC_EVAL_BATCH", "3", 1);
-        expectIdenticalResult(
-            runMonteCarloShard(*scheme, cfg, 0, cfg.systems), baseline);
-        ::unsetenv("XED_MC_EVAL_BATCH");
-        expectIdenticalResult(
-            runMonteCarloShard(*scheme, cfg, 0, cfg.systems), baseline);
-    }
-}
-
-TEST(EngineShard, EvalBatchEnvKnobIsStrict)
-{
-    // Garbage and an explicit 0 must fail loudly, naming the knob --
-    // not resolve to some batch size.
-    McConfig cfg = smallConfig();
-    cfg.systems = 10;
-    cfg.evalBatch = 0;
-    const auto scheme = makeScheme(SchemeKind::Secded, OnDieOptions{});
-    for (const char *bogus : {"abc", "0", "16x", "-1"}) {
-        ::setenv("XED_MC_EVAL_BATCH", bogus, 1);
-        try {
-            runMonteCarloShard(*scheme, cfg, 0, cfg.systems);
-            FAIL() << "XED_MC_EVAL_BATCH=" << bogus << " was accepted";
-        } catch (const std::runtime_error &error) {
-            EXPECT_NE(
-                std::string(error.what()).find("XED_MC_EVAL_BATCH"),
-                std::string::npos)
-                << error.what();
-        }
-    }
-    ::unsetenv("XED_MC_EVAL_BATCH");
-
-    // An explicit McConfig batch wins without consulting the knob.
-    ::setenv("XED_MC_EVAL_BATCH", "abc", 1);
-    cfg.evalBatch = 4;
-    EXPECT_NO_THROW(runMonteCarloShard(*scheme, cfg, 0, cfg.systems));
-    ::unsetenv("XED_MC_EVAL_BATCH");
-}
 
 TEST(EngineShard, ConcatenatedShardsMatchFullRun)
 {
