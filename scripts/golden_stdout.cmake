@@ -2,7 +2,8 @@
 # pinned environment and require its stdout to be byte-identical to a
 # committed golden file. This is the repo's bit-identicality contract
 # for the Monte-Carlo sampling kernel -- any change to the RNG draw
-# sequence shows up as a diff here. Invoked as
+# sequence shows up as a diff here -- and for the perfsim cycle
+# semantics behind Figures 11-14. Invoked as
 #   cmake -DBENCH=<binary> -DGOLDEN=<file> -DENVVARS=<A=1;B=2> \
 #         -P golden_stdout.cmake
 
@@ -23,6 +24,8 @@ if(NOT got STREQUAL want)
     message(FATAL_ERROR
         "stdout differs from ${GOLDEN} "
         "(got ${gotLen} bytes, want ${wantLen}). The Monte-Carlo draw "
-        "sequence is pinned: see DESIGN.md (sampling kernel) for which "
-        "changes legitimately alter it and how to regenerate goldens.")
+        "sequence and the perfsim cycle semantics (scheduling, timing, "
+        "core issue, event skipping) are pinned: see DESIGN.md (sampling "
+        "kernel, perfsim) for which changes legitimately alter them and "
+        "how to regenerate goldens.")
 endif()
