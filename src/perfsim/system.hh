@@ -38,6 +38,9 @@ struct RunResult
     std::string mode;
     std::string workload;
     std::uint64_t cycles = 0; ///< memory cycles to finish all cores
+    /** Cycles the event loop processed; the rest were skipped because
+     *  no core or channel could change state in them. */
+    std::uint64_t ticks = 0;
     double seconds = 0;
     MemStats stats{};
     PowerBreakdown power{};
@@ -45,7 +48,9 @@ struct RunResult
     double memoryPowerWatts() const { return power.total(); }
 };
 
-/** Simulate one workload under one protection mode. */
+/** Simulate one workload under one protection mode. The loop visits
+ *  only the cycles at which some core or channel is due (DESIGN.md
+ *  Section 4l); the result equals ticking every component every cycle. */
 RunResult simulate(const Workload &workload, ProtectionMode mode,
                    const PerfConfig &config = {});
 

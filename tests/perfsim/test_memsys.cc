@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "perfsim/memsys.hh"
 
 namespace xed::perfsim
@@ -170,6 +174,96 @@ TEST_F(MemsysTest, LotEccSpawnsExtraWrites)
     // ~10% of writes spawn a parity update.
     EXPECT_GT(lotMem.stats().extraWrites, 120u);
     EXPECT_LT(lotMem.stats().extraWrites, 280u);
+}
+
+TEST_F(MemsysTest, TickingOnlyAtWakeCyclesIsExact)
+{
+    // A dense read/write burst across the first refresh of rank 0
+    // (tREFI / 3 = 2080), then a sparse tail across rank 1's at 4160.
+    // One memory system ticks on every cycle, the other only at its
+    // wake cycles and at the arrivals; both must serve every read at
+    // the same cycle and count the same events.
+    struct Arrival
+    {
+        std::uint64_t cycle;
+        bool isWrite;
+        Address addr;
+    };
+    std::vector<Arrival> arrivals;
+    std::uint64_t lcg = 12345;
+    for (unsigned i = 0; i < 900; ++i) {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        const auto bits = static_cast<unsigned>(lcg >> 32);
+        Arrival a;
+        a.cycle = i < 500 ? 2000 + i / 4 : 2125 + 5 * (i - 500);
+        a.isWrite = bits % 3 == 0;
+        a.addr = {(bits >> 2) % 4, (bits >> 4) % 2, (bits >> 5) % 8,
+                  (bits >> 8) % 4, 0};
+        arrivals.push_back(a);
+    }
+
+    struct Run
+    {
+        std::vector<MemRequest> reads;
+        std::vector<bool> accepted;
+        MemStats stats;
+        std::uint64_t ticks = 0;
+    };
+    const auto run = [&](bool everyCycle) {
+        MemorySystem m(timing, fx, 7);
+        Run out;
+        out.reads.resize(arrivals.size());
+        std::size_t next = 0;
+        for (std::uint64_t now = 0; now < 3 * timing.tREFI;) {
+            ++out.ticks;
+            m.tick(now);
+            for (; next < arrivals.size() && arrivals[next].cycle == now;
+                 ++next) {
+                const Arrival &a = arrivals[next];
+                bool ok;
+                if (a.isWrite) {
+                    ok = m.canAcceptWrite(a.addr.channel);
+                    if (ok)
+                        m.enqueueWrite(a.addr);
+                } else {
+                    ok = m.canAcceptRead(a.addr.channel);
+                    out.reads[next].addr = a.addr;
+                    if (ok)
+                        m.enqueueRead(&out.reads[next]);
+                }
+                out.accepted.push_back(ok);
+            }
+            std::uint64_t wake =
+                everyCycle ? now + 1 : std::max(now + 1, m.wakeAt());
+            if (next < arrivals.size())
+                wake = std::min(wake, arrivals[next].cycle);
+            now = wake;
+        }
+        EXPECT_TRUE(m.drained());
+        out.stats = m.stats();
+        return out;
+    };
+
+    const Run every = run(true);
+    const Run woken = run(false);
+    EXPECT_LT(woken.ticks, every.ticks / 4);
+    EXPECT_EQ(woken.accepted, every.accepted);
+    EXPECT_LT(std::count(every.accepted.begin(), every.accepted.end(),
+                         true),
+              static_cast<std::ptrdiff_t>(arrivals.size()))
+        << "the burst should overflow a queue";
+    for (std::size_t i = 0; i < arrivals.size(); ++i)
+        EXPECT_EQ(woken.reads[i].doneCycle, every.reads[i].doneCycle)
+            << "arrival " << i;
+    EXPECT_EQ(woken.stats.reads, every.stats.reads);
+    EXPECT_EQ(woken.stats.writes, every.stats.writes);
+    EXPECT_EQ(woken.stats.rowHits, every.stats.rowHits);
+    EXPECT_EQ(woken.stats.rankActivates, every.stats.rankActivates);
+    EXPECT_EQ(woken.stats.bankActivates, every.stats.bankActivates);
+    EXPECT_EQ(woken.stats.readBusCycles, every.stats.readBusCycles);
+    EXPECT_EQ(woken.stats.writeBusCycles, every.stats.writeBusCycles);
+    EXPECT_EQ(woken.stats.refreshes, every.stats.refreshes);
+    EXPECT_GT(every.stats.rowHits, 0u);
 }
 
 TEST_F(MemsysTest, QueueCapacityEnforced)
