@@ -339,7 +339,10 @@ parseReliabilityKeys(SpecReader &reader, CampaignSpec &spec)
         }
         if (spec.sweep.parameter == "channels") {
             for (const double v : spec.sweep.values) {
-                if (v < 1 || v != static_cast<unsigned>(v)) {
+                // Range-check before the cast: narrowing a double
+                // above UINT_MAX to unsigned is undefined.
+                if (v < 1 || v > std::numeric_limits<unsigned>::max() ||
+                    v != static_cast<unsigned>(v)) {
                     reader.fail("channels sweep values must be positive "
                                 "integers");
                     return;

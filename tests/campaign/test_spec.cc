@@ -93,6 +93,17 @@ TEST(CampaignSpec, RejectsUnknownKeysAndBadValues)
                          R"("channels":4294967296})")
                   .find("\"channels\" must be at most"),
               std::string::npos);
+    // Channels sweep values above UINT_MAX fail the same way as
+    // fractions, by range check rather than an undefined narrowing.
+    for (const char *value : {"4294967296", "1e300", "2.5"})
+        EXPECT_NE(parseError(std::string(R"({"name":"t","seed":1,)") +
+                             R"("schemes":["xed"],"sweep":{)" +
+                             R"("parameter":"channels","values":[)" +
+                             value + "]}}")
+                      .find("channels sweep values must be positive "
+                            "integers"),
+                  std::string::npos)
+            << value;
     // evalBatch is not a spec key: a spec that sets it fails loudly.
     EXPECT_NE(parseError(R"({"name":"t","seed":1,"schemes":["xed"],)"
                          R"("evalBatch":16})")
