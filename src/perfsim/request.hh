@@ -8,9 +8,15 @@
 #define XED_PERFSIM_REQUEST_HH
 
 #include <cstdint>
+#include <limits>
 
 namespace xed::perfsim
 {
+
+/** Wake cycle of a component with nothing to do until an outside
+ *  event (an enqueue, a served read) re-arms it. */
+inline constexpr std::uint64_t never =
+    std::numeric_limits<std::uint64_t>::max();
 
 /** Decoded line address. */
 struct Address
