@@ -1,12 +1,13 @@
 #!/bin/sh
 # Byte-identity of the SIMD batch kernels across dispatch levels
-# (DESIGN.md section 4i): build with -DXED_NATIVE=ON so the compiler
+# (DESIGN.md section 4i): build with -march=native so the compiler
 # has every excuse to diverge, then prove that XED_SIMD=scalar and the
 # native (detected) level produce byte-identical results:
 #
 #   1. the "simd" + "ecc" ctest suites (per-level fuzz, forced through
 #      the real dispatch) and the "golden" suites (fig07/table2 stdout
-#      vs the committed pre-SIMD fixtures) pass under BOTH levels;
+#      vs the committed pre-SIMD fixtures, fig11-14 stdout) pass under
+#      BOTH levels -- so every bench a golden test runs is built below;
 #   2. the fig07 and table2 stdout captures from the two levels are
 #      cmp-identical to each other and to the committed fixtures;
 #   3. a full campaign run produces cmp-identical JSONL stores.
@@ -20,10 +21,11 @@ jobs=$(nproc 2>/dev/null || echo 2)
 work="$build/check_simd"
 
 cmake -S "$repo" -B "$build" -DCMAKE_BUILD_TYPE=Release \
-    -DXED_NATIVE=ON
+    -DCMAKE_CXX_FLAGS=-march=native
 cmake --build "$build" -j "$jobs" \
     --target test_simd test_codec_equivalence test_codec_alloc \
     test_ecc fig07_xed_reliability table2_detection_rates \
+    fig11_exec_time fig12_memory_power fig13_alternatives fig14_lotecc \
     xed_campaign_cli
 
 mkdir -p "$work"

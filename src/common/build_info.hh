@@ -2,8 +2,8 @@
  * @file
  * Build provenance baked in at configure time: git revision, compiler,
  * optimization flags, build type and instrumentation options. Stamped
- * into the telemetry run record and into every BENCH_*.json so a
- * bench-trajectory point (or a multi-hour campaign) is attributable
+ * into the telemetry run record and printed by `xed_campaign version`
+ * so a benchmark run (or a multi-hour campaign) is attributable
  * to the exact binary that produced it.
  *
  * The git hash is captured when cmake configures (not per build), so

@@ -7,7 +7,7 @@
  * The level is decided ONCE per process from the running CPU
  * (CPUID-derived feature bits on x86-64, the architectural AdvSIMD
  * guarantee on aarch64), not from compile-time flags: a portable
- * binary built without -DXED_NATIVE still runs the AVX2/AVX-512
+ * binary built without -march=native still runs the AVX2/AVX-512
  * kernels on a machine that has them, and a -march=native binary
  * copied to an older box falls back instead of faulting on the first
  * vector instruction. XED_SIMD=scalar|neon|avx2|avx512 overrides the
@@ -66,10 +66,10 @@ bool simdLevelSupported(SimdLevel level);
 SimdLevel simdLevel();
 
 /**
- * Force the resolved level, e.g. the benches' --simd flag or the
- * per-level equivalence tests. Throws std::runtime_error when the
- * host cannot execute @p level. Takes effect for every subsequent
- * simdLevel() call; not meant to race running kernels.
+ * Force the resolved level, e.g. in the per-level equivalence tests.
+ * Throws std::runtime_error when the host cannot execute @p level.
+ * Takes effect for every subsequent simdLevel() call; not meant to
+ * race running kernels.
  *
  * @param origin provenance tag recorded by simdOverride(), e.g.
  *        "--simd=scalar"; the XED_SIMD resolution uses "XED_SIMD=...".
@@ -79,7 +79,7 @@ void simdForceLevel(SimdLevel level, std::string_view origin);
 /**
  * The override in effect ("XED_SIMD=avx2", "--simd=scalar"), or empty
  * when simdLevel() is the detected level. Stamped into build
- * provenance so BENCH_*.json says which kernels actually ran.
+ * provenance so every run record says which kernels actually ran.
  */
 std::string simdOverride();
 

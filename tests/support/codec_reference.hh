@@ -1,15 +1,9 @@
 /**
  * @file
  * Frozen pre-optimization codec implementations, kept as the reference
- * half of two contracts:
- *
- *  - the randomized equivalence suite (tests/ecc/test_codec_equivalence)
- *    proves the table-driven scratch kernels return byte-identical
- *    results to these originals;
- *  - the throughput bench (bench/codec_throughput) measures the new
- *    kernels against them, so the before/after ratios in
- *    BENCH_codecs.json compare real implementations rather than
- *    guesses.
+ * half of the randomized equivalence suite
+ * (tests/ecc/test_codec_equivalence), which proves the table-driven
+ * scratch kernels return byte-identical results to these originals.
  *
  * These are deliberate verbatim copies of the algorithms as they stood
  * before the kernel rewrite (log/exp multiply with the zero branch and
