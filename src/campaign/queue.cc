@@ -43,17 +43,6 @@ shardName(const char *prefix, std::uint64_t shard, const char *suffix)
     return buf;
 }
 
-std::optional<std::string>
-slurpFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return std::nullopt;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
 /** Whole-file write + optional fsync; the building block for temp
  *  files that are later renamed into place. */
 bool
@@ -75,8 +64,19 @@ writeFile(const std::string &path, const std::string &bytes,
     return true;
 }
 
-/** Seconds since the file was last written; nullopt when it vanished
- *  (claimed/broken/committed by somebody else in the meantime). */
+} // namespace
+
+std::optional<std::string>
+slurpFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return std::nullopt;
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
 std::optional<double>
 fileAgeSeconds(const std::string &path)
 {
@@ -87,8 +87,6 @@ fileAgeSeconds(const std::string &path)
     const auto now = fs::file_time_type::clock::now();
     return std::chrono::duration<double>(now - mtime).count();
 }
-
-} // namespace
 
 json::Value
 queueManifest(const CampaignSpec &spec, const Plan &plan,

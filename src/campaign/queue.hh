@@ -54,6 +54,7 @@
 #define XED_CAMPAIGN_QUEUE_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "campaign/spec.hh"
@@ -146,6 +147,13 @@ class ShardQueue
     bool forensics_ = true;
     std::uint64_t shards_ = 0;
 };
+
+/** Whole contents of @p path; nullopt when it cannot be opened. */
+std::optional<std::string> slurpFile(const std::string &path);
+
+/** Seconds since @p path was last written; nullopt when it vanished
+ *  (claimed/broken/committed by somebody else in the meantime). */
+std::optional<double> fileAgeSeconds(const std::string &path);
 
 /** The queue manifest document (exposed for tests). */
 json::Value queueManifest(const CampaignSpec &spec, const Plan &plan,

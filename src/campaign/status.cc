@@ -1,13 +1,13 @@
 #include "campaign/status.hh"
 
 #include <algorithm>
-#include <chrono>
+#include <charconv>
 #include <filesystem>
-#include <fstream>
 #include <ostream>
 #include <set>
 #include <sstream>
 
+#include "campaign/queue.hh"
 #include "common/metrics.hh"
 #include "common/table.hh"
 #include "obs/telemetry.hh"
@@ -24,16 +24,9 @@ namespace
  *  racing deletion mid-scan must not be classified dead on that
  *  evidence alone -- the next scan settles it). */
 double
-fileAgeSeconds(const fs::path &path)
+ageOrZero(const fs::path &path)
 {
-    std::error_code ec;
-    const auto written = fs::last_write_time(path, ec);
-    if (ec)
-        return 0;
-    const double age = std::chrono::duration<double>(
-                           fs::file_time_type::clock::now() - written)
-                           .count();
-    return age > 0 ? age : 0;
+    return std::max(fileAgeSeconds(path.string()).value_or(0.0), 0.0);
 }
 
 /** name == prefix + middle + suffix with nonempty middle. */
@@ -53,23 +46,14 @@ splitName(const std::string &name, std::string_view prefix,
     return true;
 }
 
+/** Plain decimal digits that fit in 64 bits; anything else (signs,
+ *  junk, an index past 2^64) is a foreign file name the scan skips. */
 bool
 parseShardIndex(const std::string &digits, std::uint64_t &index)
 {
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    index = std::stoull(digits);
-    return true;
-}
-
-std::string
-slurp(const fs::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
+    const char *end = digits.data() + digits.size();
+    const auto [ptr, ec] = std::from_chars(digits.data(), end, index);
+    return ec == std::errc() && ptr == end;
 }
 
 bool
@@ -301,7 +285,8 @@ scanQueueDir(const std::string &dir, const StatusOptions &options)
     status.source = "queue";
     status.path = dir;
 
-    const auto manifest = json::parse(slurp(fs::path(dir) / "queue.json"));
+    const auto manifest =
+        json::parse(slurpFile(dir + "/queue.json").value_or(""));
     if (!manifest || !manifest->isObject() ||
         !recordTypeIs(*manifest, "queue")) {
         status.error =
@@ -342,7 +327,8 @@ scanQueueDir(const std::string &dir, const StatusOptions &options)
             // -- the commit rename happened -- but its totals can
             // only come from a parseable record.
             doneShards.insert(index);
-            const std::string bytes = slurp(entry.path());
+            const std::string bytes =
+                slurpFile(entry.path().string()).value_or("");
             std::size_t pos = 0;
             bool first = true;
             bool tallied = false;
@@ -371,14 +357,15 @@ scanQueueDir(const std::string &dir, const StatusOptions &options)
             // and never match the suffix. A lease torn mid-write
             // (claim in progress) parses as garbage; skip it, the
             // next scan sees it whole.
-            const auto lease = json::parse(slurp(entry.path()));
+            const auto lease = json::parse(
+                slurpFile(entry.path().string()).value_or(""));
             if (!lease || !lease->isObject())
                 continue;
             const json::Value *worker = lease->find("worker");
             if (!worker || !worker->isString())
                 continue;
             leases.push_back({worker->asString(), index,
-                              fileAgeSeconds(entry.path())});
+                              ageOrZero(entry.path())});
         } else if (splitName(name, "worker-", ".telemetry.jsonl",
                              middle)) {
             const auto telemetry =
@@ -390,7 +377,7 @@ scanQueueDir(const std::string &dir, const StatusOptions &options)
             workers.emplace(
                 middle, workerFromTelemetry(
                             middle, telemetry,
-                            fileAgeSeconds(entry.path()), status,
+                            ageOrZero(entry.path()), status,
                             shardSeconds, shardUnitsPerSec));
         }
     }
@@ -508,7 +495,7 @@ scanStore(const std::string &storePath, const StatusOptions &options)
                     worker && worker->isString())
                     id = worker->asString();
             WorkerStatus worker = workerFromTelemetry(
-                id, telemetry, fileAgeSeconds(telemetryPath), status,
+                id, telemetry, ageOrZero(telemetryPath), status,
                 shardSeconds, shardUnitsPerSec);
             if (worker.liveness != WorkerLiveness::Done &&
                 worker.liveness != WorkerLiveness::Aborted)

@@ -4,9 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <thread>
 
 #include "campaign/forensics.hh"
@@ -21,17 +19,6 @@ namespace fs = std::filesystem;
 
 namespace
 {
-
-std::optional<std::string>
-slurpFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return std::nullopt;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
 
 /**
  * Lease heartbeat: renews the shard currently being executed so a

@@ -12,6 +12,8 @@
  *    histogram merges (synthetic sidecars vs a reference histogram),
  *  - scanning is strictly read-only: every byte of the queue is
  *    identical before and after,
+ *  - shard and lease names whose index overflows 64 bits are foreign
+ *    files the scan skips, not a crash,
  *  - /metrics renders valid Prometheus text exposition (validated by
  *    a grammar checker, not substring luck), and
  *  - the serve endpoints answer over a real socket on an ephemeral
@@ -374,6 +376,30 @@ TEST(FleetStatus, TornTelemetryTailIsToleratedAndCounted)
     EXPECT_EQ(status.skippedTelemetryLines, 1u);
     EXPECT_TRUE(status.complete); // damage never hides real totals
     EXPECT_EQ(status.shardsDone, 12u);
+}
+
+TEST(FleetStatus, OutOfRangeShardNamesAreIgnored)
+{
+    const CampaignSpec spec = statusSpec();
+    const std::string dir = freshDir("overflow");
+    const std::string queueDir = dir + "/queue";
+    runFleet(spec, queueDir, 1, 0);
+
+    // Well-formed contents under names whose index is past 2^64: only
+    // the name can make the scan skip them.
+    const std::string nines(20, '9');
+    fs::copy_file(queueDir + "/shard-000000.jsonl",
+                  queueDir + "/shard-" + nines + ".jsonl");
+    {
+        std::ofstream lease(queueDir + "/lease-" + nines + ".json");
+        lease << R"({"worker":"w-stray","shard":0})" << "\n";
+    }
+
+    const FleetStatus status = scanQueueDir(queueDir, StatusOptions{});
+    ASSERT_TRUE(status.ok) << status.error;
+    EXPECT_EQ(status.shardsDone, 12u);
+    EXPECT_EQ(status.shardsClaimed, 0u);
+    EXPECT_EQ(status.damagedFragments, 0u);
 }
 
 TEST(FleetStatus, PrometheusExpositionIsValid)
