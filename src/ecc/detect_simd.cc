@@ -47,102 +47,13 @@ detectScalar(const SecdedNibbleTables &t, const Word72 *words,
 #if defined(__x86_64__)
 
 /**
- * AVX2: 32 words (512 bytes) per block. A 4-layer unpack network
- * turns 16 row registers into nine 32-byte slice registers (slice s =
- * byte s of 32 words, in a permutation that is identical across
- * slices and irrelevant to the count); each slice then costs two
- * vpshufb nibble lookups, and one cmpeq+movemask+popcount counts the
- * zero syndromes. @p n must be a multiple of 32.
- */
-__attribute__((target("avx2"))) std::size_t
-detectBlocksAvx2(const SecdedNibbleTables &t, const Word72 *words,
-                 std::size_t n)
-{
-    __m256i tabLo[9], tabHi[9];
-    for (int s = 0; s < 9; ++s) {
-        tabLo[s] = _mm256_broadcastsi128_si256(
-            _mm_load_si128(reinterpret_cast<const __m128i *>(t.lo[s])));
-        tabHi[s] = _mm256_broadcastsi128_si256(
-            _mm_load_si128(reinterpret_cast<const __m128i *>(t.hi[s])));
-    }
-    const __m256i nibMask = _mm256_set1_epi8(0x0F);
-    const __m256i zero = _mm256_setzero_si256();
-
-    std::size_t invalid = 0;
-    for (std::size_t i = 0; i < n; i += 32) {
-        const unsigned char *base =
-            reinterpret_cast<const unsigned char *>(words + i);
-        __m256i a[16];
-        for (int j = 0; j < 16; ++j)
-            a[j] = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(base + 32 * j));
-
-        // Each 128-bit lane of a[j] is one word's 16 bytes: byte k
-        // carries position tag k (8 = hi, 9..15 = padding). Every
-        // unpack below interleaves two registers with identical tag
-        // patterns, so tags pair up layer by layer until each
-        // register holds a single tag -- one full byte slice.
-        __m256i l1lo[8], l1hi[8];
-        for (int j = 0; j < 8; ++j) {
-            l1lo[j] = _mm256_unpacklo_epi8(a[2 * j], a[2 * j + 1]);
-            l1hi[j] = _mm256_unpackhi_epi8(a[2 * j], a[2 * j + 1]);
-        }
-        // l2[0..3] tags 0..3, l2[4..7] tags 4..7, l2[8..11] tags 8..11
-        // (the 12..15 side is padding and never computed).
-        __m256i l2[12];
-        for (int j = 0; j < 4; ++j) {
-            l2[j] = _mm256_unpacklo_epi16(l1lo[2 * j], l1lo[2 * j + 1]);
-            l2[4 + j] =
-                _mm256_unpackhi_epi16(l1lo[2 * j], l1lo[2 * j + 1]);
-            l2[8 + j] =
-                _mm256_unpacklo_epi16(l1hi[2 * j], l1hi[2 * j + 1]);
-        }
-        __m256i l3[10];
-        for (int g = 0; g < 2; ++g) {
-            l3[4 * g + 0] =
-                _mm256_unpacklo_epi32(l2[4 * g + 0], l2[4 * g + 1]);
-            l3[4 * g + 1] =
-                _mm256_unpacklo_epi32(l2[4 * g + 2], l2[4 * g + 3]);
-            l3[4 * g + 2] =
-                _mm256_unpackhi_epi32(l2[4 * g + 0], l2[4 * g + 1]);
-            l3[4 * g + 3] =
-                _mm256_unpackhi_epi32(l2[4 * g + 2], l2[4 * g + 3]);
-        }
-        l3[8] = _mm256_unpacklo_epi32(l2[8], l2[9]);
-        l3[9] = _mm256_unpacklo_epi32(l2[10], l2[11]);
-        __m256i slice[9];
-        slice[0] = _mm256_unpacklo_epi64(l3[0], l3[1]);
-        slice[1] = _mm256_unpackhi_epi64(l3[0], l3[1]);
-        slice[2] = _mm256_unpacklo_epi64(l3[2], l3[3]);
-        slice[3] = _mm256_unpackhi_epi64(l3[2], l3[3]);
-        slice[4] = _mm256_unpacklo_epi64(l3[4], l3[5]);
-        slice[5] = _mm256_unpackhi_epi64(l3[4], l3[5]);
-        slice[6] = _mm256_unpacklo_epi64(l3[6], l3[7]);
-        slice[7] = _mm256_unpackhi_epi64(l3[6], l3[7]);
-        slice[8] = _mm256_unpacklo_epi64(l3[8], l3[9]);
-
-        __m256i acc = zero;
-        for (int s = 0; s < 9; ++s) {
-            const __m256i loNib = _mm256_and_si256(slice[s], nibMask);
-            const __m256i hiNib = _mm256_and_si256(
-                _mm256_srli_epi16(slice[s], 4), nibMask);
-            acc = _mm256_xor_si256(
-                acc,
-                _mm256_xor_si256(_mm256_shuffle_epi8(tabLo[s], loNib),
-                                 _mm256_shuffle_epi8(tabHi[s], hiNib)));
-        }
-        const unsigned valid = static_cast<unsigned>(
-            _mm256_movemask_epi8(_mm256_cmpeq_epi8(acc, zero)));
-        invalid += 32u - static_cast<unsigned>(__builtin_popcount(valid));
-    }
-    return invalid;
-}
-
-/**
- * AVX-512 (F+BW+DQ+VL): the same network at 64 words (1 KiB) per
- * block -- the unpacks and vpshufb operate per 128-bit lane, so the
- * tag algebra is unchanged -- with the zero count taken straight from
- * the cmpeq mask register. @p n must be a multiple of 64.
+ * AVX-512 (F+BW+DQ+VL): 64 words (1 KiB) per block. A 4-layer unpack
+ * network turns 16 row registers into nine 64-byte slice registers
+ * (slice s = byte s of 64 words, in a permutation that is identical
+ * across slices and irrelevant to the count); each slice then costs
+ * two vpshufb nibble lookups, and the zero syndromes are counted
+ * straight from the cmpeq mask register. @p n must be a multiple of
+ * 64.
  */
 // GCC's _mm512_undefined_epi32() (used inside the unpack intrinsics)
 // trips -Wmaybe-uninitialized; the value is overwritten by the masked
@@ -174,11 +85,18 @@ detectBlocksAvx512(const SecdedNibbleTables &t, const Word72 *words,
             a[j] = _mm512_loadu_si512(
                 reinterpret_cast<const void *>(base + 64 * j));
 
+        // Each 128-bit lane of a[j] is one word's 16 bytes: byte k
+        // carries position tag k (8 = hi, 9..15 = padding). Every
+        // unpack below interleaves two registers with identical tag
+        // patterns, so tags pair up layer by layer until each
+        // register holds a single tag -- one full byte slice.
         __m512i l1lo[8], l1hi[8];
         for (int j = 0; j < 8; ++j) {
             l1lo[j] = _mm512_unpacklo_epi8(a[2 * j], a[2 * j + 1]);
             l1hi[j] = _mm512_unpackhi_epi8(a[2 * j], a[2 * j + 1]);
         }
+        // l2[0..3] tags 0..3, l2[4..7] tags 4..7, l2[8..11] tags 8..11
+        // (the 12..15 side is padding and never computed).
         __m512i l2[12];
         for (int j = 0; j < 4; ++j) {
             l2[j] = _mm512_unpacklo_epi16(l1lo[2 * j], l1lo[2 * j + 1]);
@@ -362,10 +280,6 @@ detectManySimd(SimdLevel level, const SecdedNibbleTables &t,
     case SimdLevel::Avx512:
         blocked = n & ~static_cast<std::size_t>(63);
         invalid = detectBlocksAvx512(t, words, blocked);
-        break;
-    case SimdLevel::Avx2:
-        blocked = n & ~static_cast<std::size_t>(31);
-        invalid = detectBlocksAvx2(t, words, blocked);
         break;
 #elif defined(__aarch64__)
     case SimdLevel::Neon:

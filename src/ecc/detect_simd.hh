@@ -8,7 +8,7 @@
  * tables are GF(2)-linear in the byte: T[b] = T[b & 0x0F] ^
  * T[b & 0xF0]. That splits each 256-entry lane into two 16-entry
  * nibble tables -- exactly the shape vpshufb (x86) and tbl (NEON)
- * look up 32/64/16 bytes at a time. The kernels transpose a block of
+ * look up 64/16 bytes at a time. The kernels transpose a block of
  * Word72s into nine byte-slice vectors with an unpack network, XOR
  * the eighteen nibble lookups, and count the nonzero syndromes with
  * one compare + popcount per block.
