@@ -44,92 +44,6 @@ zeroFaultMaskScalar(std::uint64_t mixedSeed, std::uint64_t firstSystem,
 // target-attributed function does NOT inherit the target, so GCC
 // refuses to inline the intrinsics into it.
 
-/** 64x64 multiply via the classic three-vpmuludq emulation. */
-__attribute__((target("avx2"))) inline __m256i
-mul64Avx2(__m256i a, __m256i b)
-{
-    const __m256i hi = _mm256_add_epi64(
-        _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)),
-        _mm256_mul_epu32(_mm256_srli_epi64(a, 32), b));
-    return _mm256_add_epi64(_mm256_mul_epu32(a, b),
-                            _mm256_slli_epi64(hi, 32));
-}
-
-__attribute__((target("avx2"))) inline __m256i
-rotlAvx2(__m256i x, int k)
-{
-    return _mm256_or_si256(_mm256_slli_epi64(x, k),
-                           _mm256_srli_epi64(x, 64 - k));
-}
-
-/** splitmix64 finalizer (without the kGolden add), 4 lanes. */
-__attribute__((target("avx2"))) inline __m256i
-mixAvx2(__m256i z)
-{
-    z = mul64Avx2(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)),
-                  _mm256_set1_epi64x(static_cast<long long>(kMix1)));
-    z = mul64Avx2(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)),
-                  _mm256_set1_epi64x(static_cast<long long>(kMix2)));
-    return _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
-}
-
-/**
- * 4 lanes of splitmix64 + xoshiro256** on AVX2. The 64x64 multiplies
- * (splitmix64 seeding only; the xoshiro step needs none) use the
- * classic three-vpmuludq emulation; everything else is shifts, adds
- * and xors, so each value is computed with exactly the scalar
- * semantics -- the compare threshold and the draw are both below
- * 2^53, which keeps the signed 64-bit compare valid.
- */
-__attribute__((target("avx2"))) std::uint32_t
-zeroFaultMask4Avx2(std::uint64_t mixedSeed, std::uint64_t firstSystem,
-                   unsigned channels, std::uint64_t zeroMax)
-{
-    // seed = mixedSeed ^ mix64(~index * kStream); mix64 adds kGolden
-    // before finalizing.
-    const __m256i idx = _mm256_add_epi64(
-        _mm256_set1_epi64x(static_cast<long long>(firstSystem)),
-        _mm256_setr_epi64x(0, 1, 2, 3));
-    __m256i z = mul64Avx2(_mm256_xor_si256(idx, _mm256_set1_epi64x(-1)),
-                      _mm256_set1_epi64x(static_cast<long long>(kStream)));
-    z = mixAvx2(_mm256_add_epi64(
-        z, _mm256_set1_epi64x(static_cast<long long>(kGolden))));
-    __m256i x = _mm256_xor_si256(
-        _mm256_set1_epi64x(static_cast<long long>(mixedSeed)), z);
-
-    // Rng constructor: four splitmix64 expansions of the seed.
-    __m256i s[4];
-    for (int w = 0; w < 4; ++w) {
-        x = _mm256_add_epi64(
-            x, _mm256_set1_epi64x(static_cast<long long>(kGolden)));
-        s[w] = mixAvx2(x);
-    }
-
-    const __m256i zeroMaxV =
-        _mm256_set1_epi64x(static_cast<long long>(zeroMax));
-    __m256i bad = _mm256_setzero_si256();
-    for (unsigned ch = 0; ch < channels; ++ch) {
-        // result = rotl(s1 * 5, 7) * 9; *5 and *9 are shift-adds.
-        __m256i r = rotlAvx2(
-            _mm256_add_epi64(s[1], _mm256_slli_epi64(s[1], 2)), 7);
-        r = _mm256_add_epi64(r, _mm256_slli_epi64(r, 3));
-        const __m256i draw = _mm256_srli_epi64(r, 11);
-        bad = _mm256_or_si256(bad,
-                              _mm256_cmpgt_epi64(draw, zeroMaxV));
-
-        const __m256i t = _mm256_slli_epi64(s[1], 17);
-        s[2] = _mm256_xor_si256(s[2], s[0]);
-        s[3] = _mm256_xor_si256(s[3], s[1]);
-        s[1] = _mm256_xor_si256(s[1], s[2]);
-        s[0] = _mm256_xor_si256(s[0], s[3]);
-        s[2] = _mm256_xor_si256(s[2], t);
-        s[3] = rotlAvx2(s[3], 45);
-    }
-    const unsigned badBits = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(bad)));
-    return ~badBits & 0xFu;
-}
-
 // _mm512_undefined_epi32() inside the GCC intrinsic headers trips
 // -Wuninitialized; the value is fully overwritten, known false positive.
 #pragma GCC diagnostic push
@@ -150,12 +64,19 @@ mixAvx512(__m512i z)
     return _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
 }
 
-/** 8 lanes on AVX-512 (F+DQ: vpmullq does the 64-bit multiplies). */
+/**
+ * 8 lanes of splitmix64 + xoshiro256** on AVX-512 (F+DQ: vpmullq does
+ * the 64-bit multiplies of the seeding; the xoshiro step needs none).
+ * Each value is computed with exactly the scalar semantics, and the
+ * unsigned compare sees the same 53-bit draw the scalar path tests.
+ */
 __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl")))
 std::uint32_t
 zeroFaultMask8Avx512(std::uint64_t mixedSeed, std::uint64_t firstSystem,
                      unsigned channels, std::uint64_t zeroMax)
 {
+    // seed = mixedSeed ^ mix64(~index * kStream); mix64 adds kGolden
+    // before finalizing.
     const __m512i idx = _mm512_add_epi64(
         _mm512_set1_epi64(static_cast<long long>(firstSystem)),
         _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
@@ -167,6 +88,7 @@ zeroFaultMask8Avx512(std::uint64_t mixedSeed, std::uint64_t firstSystem,
     __m512i x = _mm512_xor_si512(
         _mm512_set1_epi64(static_cast<long long>(mixedSeed)), z);
 
+    // Rng constructor: four splitmix64 expansions of the seed.
     __m512i s[4];
     for (int w = 0; w < 4; ++w) {
         x = _mm512_add_epi64(
@@ -178,6 +100,7 @@ zeroFaultMask8Avx512(std::uint64_t mixedSeed, std::uint64_t firstSystem,
         _mm512_set1_epi64(static_cast<long long>(zeroMax));
     __mmask8 bad = 0;
     for (unsigned ch = 0; ch < channels; ++ch) {
+        // result = rotl(s1 * 5, 7) * 9; *5 and *9 are shift-adds.
         __m512i r = _mm512_rol_epi64(
             _mm512_add_epi64(s[1], _mm512_slli_epi64(s[1], 2)), 7);
         r = _mm512_add_epi64(r, _mm512_slli_epi64(r, 3));
@@ -205,7 +128,6 @@ unsigned
 zeroFilterWidth(SimdLevel level)
 {
     switch (level) {
-    case SimdLevel::Avx2:
     case SimdLevel::Avx512:
         return 8;
     default:
@@ -223,15 +145,6 @@ zeroFaultMask(SimdLevel level, std::uint64_t mixedSeed,
     if (level == SimdLevel::Avx512 && count == 8)
         return zeroFaultMask8Avx512(mixedSeed, firstSystem, channels,
                                     zeroMax);
-    if (level == SimdLevel::Avx2 && count == 8)
-        return zeroFaultMask4Avx2(mixedSeed, firstSystem, channels,
-                                  zeroMax) |
-               (zeroFaultMask4Avx2(mixedSeed, firstSystem + 4, channels,
-                                   zeroMax)
-                << 4);
-    if (level == SimdLevel::Avx2 && count == 4)
-        return zeroFaultMask4Avx2(mixedSeed, firstSystem, channels,
-                                  zeroMax);
 #else
     (void)level;
 #endif

@@ -9,10 +9,10 @@
  * system is zero-fault iff the FIRST `channels` raw draws of its
  * stream each pass the compare -- and when any draw fails, the system
  * is nonzero regardless of what the later draws mean. That makes the
- * filter a pure function of (mixedSeed, system index): the kernels
- * run splitmix64 seeding plus `channels` xoshiro256** steps across 8
- * lanes of 64-bit vectors and one compare rejects 8 systems at a
- * time. At Table I rates >= 93% of channels are zero-fault, so this
+ * filter a pure function of (mixedSeed, system index): the AVX-512
+ * kernel runs splitmix64 seeding plus `channels` xoshiro256** steps
+ * across 8 lanes of 64-bit vectors and one compare rejects 8 systems
+ * at a time. At Table I rates >= 93% of channels are zero-fault, so this
  * is the dominant branch of the engine loop.
  *
  * Byte-identity: the filter never touches any Rng object. Systems it
@@ -35,9 +35,9 @@ namespace xed::faultsim
 
 /**
  * Lane count of the vector zero-fault kernel at @p level: 8 for
- * Avx2/Avx512, 0 where no vector path exists (Scalar, and Neon --
- * AdvSIMD has no packed 64-bit multiply, so splitmix64 seeding does
- * not vectorize profitably there). Width 0 tells the engine to skip
+ * Avx512, 0 where no vector path exists (Scalar, and Neon -- AdvSIMD
+ * has no packed 64-bit multiply, so splitmix64 seeding does not
+ * vectorize profitably there). Width 0 tells the engine to skip
  * batching entirely.
  */
 unsigned zeroFilterWidth(SimdLevel level);
@@ -48,10 +48,9 @@ unsigned zeroFilterWidth(SimdLevel level);
  * (mixedSeed, firstSystem + i) satisfies (draw >> 11) <= zeroMax,
  * i.e. the system is provably all-zero-fault under the Knuth sampler.
  *
- * @p count must be at most 32; the vector kernels serve count ==
- * zeroFilterWidth(level) (and the AVX2 4-lane half), anything else
- * falls back to a scalar replay of the same draws. All levels return
- * identical masks.
+ * @p count must be at most 32; the vector kernel serves count ==
+ * zeroFilterWidth(level), anything else falls back to a scalar replay
+ * of the same draws. All levels return identical masks.
  */
 std::uint32_t zeroFaultMask(SimdLevel level, std::uint64_t mixedSeed,
                             std::uint64_t firstSystem, unsigned count,
