@@ -28,18 +28,16 @@ probeCpu()
 {
 #if defined(__x86_64__) || defined(__i386__)
     // __builtin_cpu_supports consults the libgcc CPUID probe, which
-    // already masks out AVX/AVX-512 state the OS does not save
-    // (OSXSAVE + XCR0), so a "yes" here means the instructions are
-    // actually executable. The AVX-512 kernels use BW byte ops and DQ
-    // 64-bit multiplies, so all four baseline subsets are required.
+    // already masks out AVX-512 state the OS does not save (OSXSAVE +
+    // XCR0), so a "yes" here means the instructions are actually
+    // executable. The AVX-512 kernels use BW byte ops and DQ 64-bit
+    // multiplies, so all four baseline subsets are required.
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx512f") &&
         __builtin_cpu_supports("avx512bw") &&
         __builtin_cpu_supports("avx512dq") &&
         __builtin_cpu_supports("avx512vl"))
         return SimdLevel::Avx512;
-    if (__builtin_cpu_supports("avx2"))
-        return SimdLevel::Avx2;
     return SimdLevel::Scalar;
 #elif defined(__aarch64__)
     // AdvSIMD is architecturally mandatory on AArch64; consult HWCAP
@@ -65,8 +63,6 @@ simdLevelName(SimdLevel level)
         return "scalar";
     case SimdLevel::Neon:
         return "neon";
-    case SimdLevel::Avx2:
-        return "avx2";
     case SimdLevel::Avx512:
         return "avx512";
     }
@@ -80,8 +76,6 @@ parseSimdLevel(std::string_view name)
         return SimdLevel::Scalar;
     if (name == "neon")
         return SimdLevel::Neon;
-    if (name == "avx2")
-        return SimdLevel::Avx2;
     if (name == "avx512")
         return SimdLevel::Avx512;
     return std::nullopt;
@@ -97,13 +91,7 @@ simdDetectedLevel()
 bool
 simdLevelSupported(SimdLevel level)
 {
-    if (level == SimdLevel::Scalar)
-        return true;
-    const SimdLevel detected = simdDetectedLevel();
-    if (level == SimdLevel::Neon)
-        return detected == SimdLevel::Neon;
-    // x86 levels are ordered: AVX-512 hosts also run the AVX2 kernels.
-    return detected >= level && detected >= SimdLevel::Avx2;
+    return level == SimdLevel::Scalar || level == simdDetectedLevel();
 }
 
 SimdLevel
@@ -123,8 +111,8 @@ simdLevel()
         const auto parsed = parseSimdLevel(env);
         if (!parsed)
             throw std::runtime_error(
-                std::string("XED_SIMD: expected scalar, neon, avx2 or "
-                            "avx512, got \"") +
+                std::string("XED_SIMD: expected scalar, neon or avx512, "
+                            "got \"") +
                 env + "\"");
         if (!simdLevelSupported(*parsed))
             throw std::runtime_error(

@@ -1,18 +1,18 @@
 /**
  * @file
  * Runtime SIMD dispatch for the batch kernels (SECDED detection,
- * GF(2^8) constant-multiplier rows, the Monte-Carlo zero-fault
- * filter).
+ * the Monte-Carlo zero-fault filter): scalar everywhere plus one
+ * vector path per ISA, AVX-512 on x86-64 and NEON on aarch64.
  *
  * The level is decided ONCE per process from the running CPU
  * (CPUID-derived feature bits on x86-64, the architectural AdvSIMD
  * guarantee on aarch64), not from compile-time flags: a portable
- * binary built without -march=native still runs the AVX2/AVX-512
- * kernels on a machine that has them, and a -march=native binary
- * copied to an older box falls back instead of faulting on the first
- * vector instruction. XED_SIMD=scalar|neon|avx2|avx512 overrides the
- * resolved level, strict-parsed: garbage or a level the host cannot
- * execute throws instead of silently running something else.
+ * binary built without -march=native still runs the AVX-512 kernels
+ * on a machine that has them, and a -march=native binary copied to an
+ * older box falls back instead of faulting on the first vector
+ * instruction. XED_SIMD=scalar|neon|avx512 overrides the resolved
+ * level, strict-parsed: garbage or a level the host cannot execute
+ * throws instead of silently running something else.
  *
  * Byte-identity contract: every kernel behind this dispatch returns
  * results identical to its scalar loop at every level -- goldens,
@@ -31,20 +31,19 @@ namespace xed
 {
 
 /**
- * Dispatch levels, ordered by preference within an architecture.
- * Scalar is valid everywhere; Neon only on aarch64; Avx2/Avx512 only
- * on x86-64 (Avx512 means the F+BW+DQ+VL subset every server part
- * since Skylake-SP ships together).
+ * Dispatch levels. Scalar is valid everywhere; Neon only on aarch64;
+ * Avx512 only on x86-64 (the F+BW+DQ+VL subset every server part
+ * since Skylake-SP ships together). x86-64 hosts without it run
+ * Scalar.
  */
 enum class SimdLevel : unsigned
 {
     Scalar = 0,
     Neon = 1,
-    Avx2 = 2,
-    Avx512 = 3,
+    Avx512 = 2,
 };
 
-/** Lower-case level name: "scalar", "neon", "avx2", "avx512". */
+/** Lower-case level name: "scalar", "neon", "avx512". */
 const char *simdLevelName(SimdLevel level);
 
 /** Strict inverse of simdLevelName(); nullopt for anything else. */
@@ -77,7 +76,7 @@ SimdLevel simdLevel();
 void simdForceLevel(SimdLevel level, std::string_view origin);
 
 /**
- * The override in effect ("XED_SIMD=avx2", "--simd=scalar"), or empty
+ * The override in effect ("XED_SIMD=avx512", "--simd=scalar"), or empty
  * when simdLevel() is the detected level. Stamped into build
  * provenance so every run record says which kernels actually ran.
  */
