@@ -12,16 +12,12 @@
  *   - RS(18,16) in 2-erasure mode: XED on top of Chipkill (Section IX),
  *     where catch-words provide the two erasure locations.
  *
- * Two decode paths share one algorithm:
- *   - the scratch kernel (span + RsScratch) runs entirely on
- *     fixed-capacity stack arrays and precomputed per-position
- *     syndrome/Chien tables -- zero heap allocations, used by the
- *     controllers' read paths and the campaign hot loops;
- *   - the legacy vector API is a thin wrapper over the kernel for
- *     every code that fits RsScratch (n <= 36, n-k <= 4, i.e. all the
- *     paper's codes) and falls back to the original heap-based
- *     implementation for larger shapes (the test sweep's RS(255,223)).
- * Both paths return bit-identical statuses and corrected words.
+ * One decode kernel serves every code: it runs entirely on
+ * fixed-capacity RsScratch arrays and precomputed per-position
+ * syndrome/Chien tables, with zero heap allocations. The codec only
+ * accepts shapes that fit RsScratch (n <= 36, n-k <= 4), which covers
+ * all the paper's codes. The vector decode overload is a thin wrapper
+ * that supplies its own scratch.
  */
 
 #ifndef XED_ECC_REED_SOLOMON_HH
@@ -87,21 +83,15 @@ class ReedSolomon
 {
   public:
     /**
-     * @param n codeword length in symbols (n <= 255)
-     * @param k data length in symbols (k < n)
+     * @param n codeword length in symbols (n <= RsScratch::maxN)
+     * @param k data length in symbols (0 < k < n, n - k <= RsScratch::maxR)
+     * @throws std::invalid_argument for any other shape
      */
     ReedSolomon(unsigned n, unsigned k);
 
     unsigned n() const { return n_; }
     unsigned k() const { return k_; }
     unsigned numCheck() const { return n_ - k_; }
-
-    /** True iff the allocation-free scratch kernel covers this code. */
-    bool
-    fitsScratch() const
-    {
-        return n_ <= RsScratch::maxN && numCheck() <= RsScratch::maxR;
-    }
 
     /**
      * Systematic encode. @p data has k symbols; returns n symbols with
@@ -130,8 +120,8 @@ class ReedSolomon
 
     /**
      * Allocation-free decode of @p received (n symbols, in place) on
-     * caller scratch. Requires fitsScratch(); results are bit-identical
-     * to the vector overload.
+     * caller scratch; results are bit-identical to the vector
+     * overload.
      */
     RsResult decode(std::span<std::uint8_t> received,
                     std::span<const unsigned> erasures,
@@ -151,9 +141,6 @@ class ReedSolomon
     /** Map a data-first index to the polynomial degree position. */
     unsigned degreeOf(unsigned index) const { return n_ - 1 - index; }
 
-    std::vector<std::uint8_t> syndromes(
-        const std::vector<std::uint8_t> &received) const;
-
     /** Table-driven syndromes into @p syn (numCheck() entries). */
     void syndromesInto(const std::uint8_t *received,
                        std::uint8_t *syn) const;
@@ -162,10 +149,6 @@ class ReedSolomon
     RsResult decodeScratch(std::uint8_t *received,
                            const unsigned *erasures, unsigned numErasures,
                            RsScratch &scratch) const;
-
-    /** Original heap-based decode, kept for codes beyond RsScratch. */
-    RsResult decodeLegacy(std::vector<std::uint8_t> &received,
-                          const std::vector<unsigned> &erasures) const;
 
     const GF256 &gf_;
     unsigned n_;
@@ -185,8 +168,7 @@ class ReedSolomon
      * chienPow_[d * n + p] = chienXinv_[p]^d for every locator degree
      * d < maxPoly + maxR, so the Chien search evaluates Psi across all
      * n positions as per-degree constant-multiplier passes over these
-     * rows (vectorizable) instead of per-position Horner chains. Built
-     * only for codes that fit RsScratch; empty otherwise.
+     * rows instead of per-position Horner chains.
      */
     std::vector<std::uint8_t> chienPow_;
     /** posX_[p] = alpha^{deg(p)}: the Forney magnitude factor. */

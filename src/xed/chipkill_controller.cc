@@ -2,7 +2,6 @@
 
 #include <array>
 #include <span>
-#include <stdexcept>
 
 namespace xed
 {
@@ -12,10 +11,6 @@ ChipkillController::ChipkillController(const ChipkillConfig &config)
       rs_(config.dataChips + config.checkChips, config.dataChips),
       rng_(config.seed)
 {
-    if (!rs_.fitsScratch())
-        throw std::invalid_argument(
-            "ChipkillController: module shape exceeds the RS scratch "
-            "kernel (n <= 36, n-k <= 4)");
     for (unsigned i = 0; i < numChips(); ++i) {
         chips_.push_back(std::make_unique<dram::Chip>(
             config_.geometry, onDieCode_, rng_.next()));
