@@ -7,10 +7,10 @@
 # the codec kernels perform -- this is the net that catches the
 # GF256::div(a, 0) class of bugs (reading an undefined log-table entry)
 # at the point of use. The "simd" label adds the dispatch layer and the
-# per-level equivalence fuzz, so the AVX2/AVX-512/NEON intrinsic
-# wrappers (detect_simd, gf256 mulConst, the zero-fault filter) run
-# their scalar-visible surroundings under the sanitizer at every level
-# the host can execute.
+# per-level equivalence fuzz, so the AVX-512/NEON intrinsic wrappers
+# (detect_simd, the zero-fault filter) run their scalar-visible
+# surroundings under the sanitizer at every level the host can
+# execute.
 #
 # Usage: scripts/check_codec_ubsan.sh [build-dir]   (default: build-ubsan)
 set -eu

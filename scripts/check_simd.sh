@@ -2,7 +2,10 @@
 # Byte-identity of the SIMD batch kernels across dispatch levels
 # (DESIGN.md section 4i): build with -march=native so the compiler
 # has every excuse to diverge, then prove that XED_SIMD=scalar and the
-# native (detected) level produce byte-identical results:
+# native (detected) level produce byte-identical results. The level
+# "native" resolved to is printed from `xed_campaign version`; on a
+# host without a vector path (x86-64 without AVX-512) it is scalar,
+# and the run says that no vector kernel was compared.
 #
 #   1. the "simd" + "ecc" ctest suites (per-level fuzz, forced through
 #      the real dispatch) and the "golden" suites (fig07/table2 stdout
@@ -29,6 +32,21 @@ cmake --build "$build" -j "$jobs" \
     xed_campaign_cli
 
 mkdir -p "$work"
+
+# The level the kernels dispatch on without an override, from the
+# build.simd block of the version record.
+native=$( (unset XED_SIMD || true
+    "$build/src/campaign/xed_campaign" version) |
+    sed -n 's/.*"simd":{"level":"\([a-z0-9]*\)".*/\1/p')
+if [ -z "$native" ]; then
+    echo "check_simd: no simd level in 'xed_campaign version'" >&2
+    exit 1
+fi
+echo "check_simd: native resolves to $native"
+if [ "$native" = scalar ]; then
+    echo "check_simd: this host has no vector path; scalar is compared" \
+        "with itself and no vector kernel was compared"
+fi
 
 # Sanity: an unparseable override must fail loudly, not fall back.
 if XED_SIMD=bogus "$build/tests/test_simd" >/dev/null 2>&1; then
@@ -73,4 +91,4 @@ cmp "$work/table2.scalar.txt" "$repo/tests/golden/table2_20000.txt"
 cmp "$work/store.scalar.jsonl" "$work/store.native.jsonl"
 cmp "$work/table2store.scalar.jsonl" "$work/table2store.native.jsonl"
 
-echo "SIMD byte-identity check passed (scalar == native == fixtures)"
+echo "SIMD byte-identity check passed (scalar == native ($native) == fixtures)"
