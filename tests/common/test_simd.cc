@@ -3,9 +3,8 @@
  * The SIMD dispatch layer and the per-level byte-identity contract
  * (DESIGN.md section 4i): level names and strict parsing, host support
  * probing, forced overrides, and -- for every level the host can
- * execute -- in-place GF(2^8) constant rows, the nibble-table
- * linearity fence, the Monte-Carlo zero-fault filter, and full-engine
- * McResult identity.
+ * execute -- the nibble-table linearity fence, the Monte-Carlo
+ * zero-fault filter, and full-engine McResult identity.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "ecc/detect_simd.hh"
-#include "ecc/gf256.hh"
 #include "faultsim/engine.hh"
 #include "faultsim/zero_filter.hh"
 
@@ -143,24 +141,6 @@ TEST(SimdDispatch, ForceSetsLevelAndRecordsOrigin)
     simdForceLevel(original, "test");
     EXPECT_EQ(simdLevel(), original);
     EXPECT_EQ(simdOverride(), "test");
-}
-
-TEST(SimdGf256, MulConstInPlaceMatchesOutOfPlace)
-{
-    const ecc::GF256 &gf = ecc::GF256::instance();
-    Rng rng(0x6F257);
-    for (const SimdLevel level : executableLevels()) {
-        const ScopedSimdLevel forced(level);
-        std::vector<std::uint8_t> buffer(129);
-        for (auto &symbol : buffer)
-            symbol = static_cast<std::uint8_t>(rng.below(256));
-        std::vector<std::uint8_t> expected = buffer;
-        gf.mulConstXorInto(0x8E, buffer.data(), expected.data(),
-                           buffer.size());
-        gf.mulConstXorInto(0x8E, buffer.data(), buffer.data(),
-                           buffer.size());
-        ASSERT_EQ(buffer, expected) << simdLevelName(level);
-    }
 }
 
 TEST(SimdDetect, NibbleTablesVerifyLinearity)

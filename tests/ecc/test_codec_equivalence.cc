@@ -295,55 +295,6 @@ TEST(CodecEquivalence, DetectManyIdenticalAcrossSimdLevelsCrc8)
     checkDetectManyAcrossLevels<Crc8Atm>(0x51AD2);
 }
 
-/**
- * RS decode must return byte-identical words and statuses at every
- * dispatch level: forcing a level never reaches the RS kernels.
- */
-TEST(CodecEquivalence, RsDecodeIdenticalAcrossSimdLevels)
-{
-    for (const RsShape shape : shapes) {
-        const ReedSolomon rs(shape.n, shape.k);
-        RsScratch scratch;
-        Rng rng(0x51D5 + shape.n);
-        std::vector<RsCase> cases;
-        for (unsigned trial = 0; trial < 4000; ++trial)
-            cases.push_back(makeCase(rng, rs));
-
-        std::vector<std::vector<std::uint8_t>> scalarWords;
-        std::vector<RsResult> scalarResults;
-        {
-            const ScopedSimdLevel forced(SimdLevel::Scalar);
-            for (const RsCase &c : cases) {
-                std::vector<std::uint8_t> word = c.received;
-                scalarResults.push_back(rs.decode(
-                    std::span<std::uint8_t>(word),
-                    std::span<const unsigned>(c.erasures), scratch));
-                scalarWords.push_back(std::move(word));
-            }
-        }
-        for (const SimdLevel level : executableLevels()) {
-            if (level == SimdLevel::Scalar)
-                continue;
-            const ScopedSimdLevel forced(level);
-            for (std::size_t i = 0; i < cases.size(); ++i) {
-                std::vector<std::uint8_t> word = cases[i].received;
-                const RsResult result = rs.decode(
-                    std::span<std::uint8_t>(word),
-                    std::span<const unsigned>(cases[i].erasures),
-                    scratch);
-                ASSERT_EQ(static_cast<int>(result.status),
-                          static_cast<int>(scalarResults[i].status))
-                    << simdLevelName(level) << " case " << i;
-                ASSERT_EQ(result.numErrors, scalarResults[i].numErrors);
-                ASSERT_EQ(result.numErasures,
-                          scalarResults[i].numErasures);
-                ASSERT_EQ(word, scalarWords[i])
-                    << simdLevelName(level) << " case " << i;
-            }
-        }
-    }
-}
-
 /** Batched pattern fills must consume the RNG in scalar draw order. */
 TEST(CodecEquivalence, BatchedPatternsPreserveDrawOrder)
 {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/rng.hh"
 #include "ecc/gf256.hh"
 
@@ -138,6 +141,22 @@ TEST_F(GfTest, PowMatchesRepeatedMul)
             ref = gf.mul(ref, a);
         EXPECT_EQ(gf.pow(a, n), ref);
     }
+}
+
+TEST(SimdGf256, MulConstInPlaceMatchesOutOfPlace)
+{
+    // mulConstXorInto allows src == dst; aliasing must give the same
+    // bytes as the out-of-place call.
+    const GF256 &gf = GF256::instance();
+    Rng rng(0x6F257);
+    std::vector<std::uint8_t> buffer(129);
+    for (auto &symbol : buffer)
+        symbol = static_cast<std::uint8_t>(rng.below(256));
+    std::vector<std::uint8_t> expected = buffer;
+    gf.mulConstXorInto(0x8E, buffer.data(), expected.data(),
+                       buffer.size());
+    gf.mulConstXorInto(0x8E, buffer.data(), buffer.data(), buffer.size());
+    ASSERT_EQ(buffer, expected);
 }
 
 } // namespace
