@@ -56,13 +56,6 @@ parseShardIndex(const std::string &digits, std::uint64_t &index)
     return ec == std::errc() && ptr == end;
 }
 
-bool
-recordTypeIs(const json::Value &record, std::string_view type)
-{
-    const json::Value *t = record.find("type");
-    return t && t->isString() && t->asString() == type;
-}
-
 void
 tallyOutcomes(const json::Value &record, FleetStatus &status)
 {
@@ -88,7 +81,7 @@ tallyOutcomes(const json::Value &record, FleetStatus &status)
 bool
 tallyShardRecord(const json::Value &record, FleetStatus &status)
 {
-    if (!record.isObject() || !recordTypeIs(record, "shard"))
+    if (!record.isObject() || !obs::recordIsType(record, "shard"))
         return false;
     const json::Value *begin = record.find("begin");
     const json::Value *end = record.find("end");
@@ -288,7 +281,7 @@ scanQueueDir(const std::string &dir, const StatusOptions &options)
     const auto manifest =
         json::parse(slurpFile(dir + "/queue.json").value_or(""));
     if (!manifest || !manifest->isObject() ||
-        !recordTypeIs(*manifest, "queue")) {
+        !obs::recordIsType(*manifest, "queue")) {
         status.error =
             "not a queue directory (queue.json missing or invalid): " +
             dir;
@@ -345,7 +338,7 @@ scanQueueDir(const std::string &dir, const StatusOptions &options)
                 if (record && first)
                     tallied = tallyShardRecord(*record, status);
                 else if (record &&
-                         recordTypeIs(*record, "forensics"))
+                         obs::recordIsType(*record, "forensics"))
                     tallyOutcomes(*record, status);
                 first = false;
             }
@@ -453,7 +446,7 @@ scanStore(const std::string &storePath, const StatusOptions &options)
 
     bool sawManifest = false;
     for (const json::Value &record : store.records) {
-        if (recordTypeIs(record, "manifest") && !sawManifest) {
+        if (obs::recordIsType(record, "manifest") && !sawManifest) {
             sawManifest = true;
             status.shardsTotal = u64Field(record, "shards");
             if (const json::Value *hash = record.find("specHash");
@@ -463,12 +456,12 @@ scanStore(const std::string &storePath, const StatusOptions &options)
                 if (const json::Value *name = spec->find("name");
                     name && name->isString())
                     status.name = name->asString();
-        } else if (recordTypeIs(record, "shard")) {
+        } else if (obs::recordIsType(record, "shard")) {
             if (tallyShardRecord(record, status))
                 ++status.shardsDone;
             else
                 ++status.damagedFragments;
-        } else if (recordTypeIs(record, "summary")) {
+        } else if (obs::recordIsType(record, "summary")) {
             status.complete = true;
         }
     }
@@ -514,7 +507,7 @@ scanStore(const std::string &storePath, const StatusOptions &options)
         const auto records = obs::readTelemetryRecords(forensics);
         if (records.ok)
             for (const json::Value &record : records.records)
-                if (recordTypeIs(record, "forensics"))
+                if (obs::recordIsType(record, "forensics"))
                     tallyOutcomes(record, status);
     }
 

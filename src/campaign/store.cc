@@ -181,6 +181,19 @@ shardRecord(const CampaignSpec &spec, const ShardTask &task,
     return record;
 }
 
+bool
+shardRecordMatches(const json::Value &record, const ShardTask &task)
+{
+    const json::Value *point = record.find("point");
+    const json::Value *cell = record.find("cell");
+    const json::Value *begin = record.find("begin");
+    const json::Value *end = record.find("end");
+    return point && point->isIntegral() && point->asUint() == task.point &&
+           cell && cell->isIntegral() && cell->asUint() == task.cell &&
+           begin && begin->isIntegral() && begin->asUint() == task.begin &&
+           end && end->isIntegral() && end->asUint() == task.end;
+}
+
 ShardResult
 shardResultFromJson(const CampaignSpec &spec, const json::Value &record)
 {
@@ -397,18 +410,7 @@ loadStore(const std::string &path, const std::string &expectedHash,
                 return loaded;
             }
             const ShardTask &task = plan.tasks[loaded.completedShards];
-            const json::Value *point = record->find("point");
-            const json::Value *cell = record->find("cell");
-            const json::Value *begin = record->find("begin");
-            const json::Value *end = record->find("end");
-            const bool matches =
-                point && point->isIntegral() &&
-                point->asUint() == task.point && cell &&
-                cell->isIntegral() && cell->asUint() == task.cell &&
-                begin && begin->isIntegral() &&
-                begin->asUint() == task.begin && end &&
-                end->isIntegral() && end->asUint() == task.end;
-            if (!matches) {
+            if (!shardRecordMatches(*record, task)) {
                 loaded.error = path + ": shard record " +
                                std::to_string(task.index) +
                                " does not match the spec's plan";

@@ -60,6 +60,10 @@ json::Value manifestRecord(const CampaignSpec &spec, const Plan &plan,
                            const std::string &hash);
 json::Value shardRecord(const CampaignSpec &spec, const ShardTask &task,
                         const ShardResult &result);
+/** True when shard record @p record carries @p task's point, cell
+ *  and [begin, end) -- the check that a stored or fragment record
+ *  belongs to this spec's plan. */
+bool shardRecordMatches(const json::Value &record, const ShardTask &task);
 /** Decode the "result" payload of a shard record. */
 ShardResult shardResultFromJson(const CampaignSpec &spec,
                                 const json::Value &record);

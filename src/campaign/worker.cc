@@ -404,19 +404,10 @@ mergeFragments(const CampaignSpec &spec, const MergeOptions &options)
         }
         const json::Value *type = record->find("type");
         const json::Value *index = record->find("index");
-        const json::Value *point = record->find("point");
-        const json::Value *cell = record->find("cell");
-        const json::Value *begin = record->find("begin");
-        const json::Value *end = record->find("end");
         const bool matches =
             type && type->isString() && type->asString() == "shard" &&
             index && index->isIntegral() && index->asUint() == i &&
-            point && point->isIntegral() &&
-            point->asUint() == task.point && cell &&
-            cell->isIntegral() && cell->asUint() == task.cell &&
-            begin && begin->isIntegral() &&
-            begin->asUint() == task.begin && end &&
-            end->isIntegral() && end->asUint() == task.end;
+            shardRecordMatches(*record, task);
         if (!matches) {
             outcome.error = path +
                             ": shard record does not match the spec's "
