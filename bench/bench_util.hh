@@ -7,24 +7,18 @@
  *   XED_MC_SYSTEMS  -- Monte-Carlo systems per scheme (reliability)
  *   XED_MC_THREADS  -- Monte-Carlo worker threads (default: hardware
  *                      concurrency; results are thread-count invariant)
- *   XED_MC_SAMPLER  -- Poisson count sampler: knuth (default) or invcdf
  *   XED_PERF_OPS    -- memory ops per core (performance)
  * so the full-fidelity (paper-scale) runs are one env var away.
  *
  * XED_MC_THREADS needs no per-bench plumbing: McConfig::threads
  * defaults to 0 ("auto"), which the engine resolves to XED_MC_THREADS
- * and then to std::thread::hardware_concurrency(). mcThreads() is for
- * harnesses that want to surface the resolved value.
+ * and then to std::thread::hardware_concurrency().
  */
 
 #ifndef XED_BENCH_BENCH_UTIL_HH
 #define XED_BENCH_BENCH_UTIL_HH
 
 #include <cstdint>
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
-#include <thread>
 
 #include "common/env.hh"
 #include "faultsim/engine.hh"
@@ -55,15 +49,6 @@ perfOps(std::uint64_t fallback = 8000)
     return envScale("XED_PERF_OPS", fallback);
 }
 
-/** Monte-Carlo worker threads: XED_MC_THREADS, else the hardware. */
-inline unsigned
-mcThreads()
-{
-    const auto hw = std::thread::hardware_concurrency();
-    return static_cast<unsigned>(
-        envScale("XED_MC_THREADS", hw ? hw : 1));
-}
-
 /** Monte-Carlo seed: XED_MC_SEED, else the bench's pinned seed. */
 inline std::uint64_t
 mcSeed(std::uint64_t fallback)
@@ -72,29 +57,8 @@ mcSeed(std::uint64_t fallback)
 }
 
 /**
- * Poisson count sampler: XED_MC_SAMPLER ("knuth" or "invcdf"), else
- * the fallback (Knuth, the bit-identical golden path). Anything else
- * throws -- a typo'd sampler must not silently run the golden path.
- */
-inline faultsim::PoissonSampler
-mcSampler(faultsim::PoissonSampler fallback =
-              faultsim::PoissonSampler::Knuth)
-{
-    if (const char *value = std::getenv("XED_MC_SAMPLER")) {
-        const auto parsed = faultsim::parsePoissonSampler(value);
-        if (!parsed)
-            throw std::runtime_error(
-                std::string("XED_MC_SAMPLER: expected \"knuth\" or "
-                            "\"invcdf\", got \"") +
-                value + "\"");
-        return *parsed;
-    }
-    return fallback;
-}
-
-/**
- * The standard reliability-bench configuration: systems, seed and
- * sampler resolved from the environment with the bench's defaults.
+ * The standard reliability-bench configuration: systems and seed
+ * resolved from the environment with the bench's defaults.
  * Threads stay 0 ("auto"), which the engine resolves to
  * XED_MC_THREADS and then the hardware.
  */
@@ -104,7 +68,6 @@ mcConfig(std::uint64_t defaultSeed, std::uint64_t systemsFallback = 1000000)
     faultsim::McConfig cfg;
     cfg.systems = mcSystems(systemsFallback);
     cfg.seed = mcSeed(defaultSeed);
-    cfg.sampler = mcSampler();
     return cfg;
 }
 

@@ -7,7 +7,6 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -17,11 +16,11 @@
 
 #include "campaign/forensics.hh"
 #include "campaign/telemetry.hh"
-#include "common/env.hh"
 #include "common/table.hh"
 #include "ecc/crc8atm.hh"
 #include "ecc/error_patterns.hh"
 #include "ecc/hamming7264.hh"
+#include "faultsim/engine.hh"
 #include "obs/trace.hh"
 
 namespace xed::campaign
@@ -29,31 +28,6 @@ namespace xed::campaign
 
 namespace
 {
-
-unsigned
-resolveThreads(const CampaignSpec &spec, const RunOptions &options,
-               std::uint64_t pendingTasks)
-{
-    std::uint64_t threads = options.threads ? options.threads
-                                            : spec.threads;
-    if (threads == 0) {
-        // envU64 throws on malformed values, same strictness as the
-        // engine's own XED_MC_THREADS resolution.
-        if (const auto env = envU64("XED_MC_THREADS")) {
-            if (*env > std::numeric_limits<unsigned>::max())
-                throw std::runtime_error(
-                    "XED_MC_THREADS: " + std::to_string(*env) +
-                    " is not a sane worker-thread count");
-            threads = *env;
-        }
-        if (threads == 0)
-            threads = std::thread::hardware_concurrency();
-        if (threads == 0)
-            threads = 1;
-    }
-    return static_cast<unsigned>(std::min<std::uint64_t>(
-        threads, std::max<std::uint64_t>(pendingTasks, 1)));
-}
 
 std::unique_ptr<ecc::Secded7264>
 makeCode(const std::string &name)
@@ -515,7 +489,9 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
 
     unsigned threads = 1;
     try {
-        threads = resolveThreads(spec, options, limit - firstPending);
+        threads = faultsim::resolveThreads(
+            options.threads ? options.threads : spec.threads,
+            limit - firstPending);
     } catch (const std::exception &e) {
         outcome.error = e.what();
         return outcome;

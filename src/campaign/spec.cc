@@ -1,11 +1,9 @@
 #include "campaign/spec.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/env.hh"
 
@@ -196,17 +194,18 @@ validName(const std::string &name)
     return true;
 }
 
-/** "sampler" key shared by reliability and fleet specs. */
+/**
+ * "sampler" key shared by reliability and fleet specs. Knuth's loop is
+ * the only Poisson sampler; the key stays accepted (and canonical) so
+ * existing spec files and store manifests keep parsing and hashing.
+ */
 void
-parseSamplerKey(SpecReader &reader, CampaignSpec &spec)
+parseSamplerKey(SpecReader &reader)
 {
-    const std::string samplerName = reader.getString(
-        "sampler", faultsim::poissonSamplerName(spec.sampler));
-    if (const auto sampler = faultsim::parsePoissonSampler(samplerName))
-        spec.sampler = *sampler;
-    else
+    const std::string samplerName = reader.getString("sampler", "knuth");
+    if (samplerName != "knuth")
         reader.fail("unknown sampler \"" + samplerName +
-                    "\" (expected knuth or invcdf)");
+                    "\" (expected knuth)");
 }
 
 /** "onDie" object shared by reliability and fleet specs. */
@@ -299,7 +298,7 @@ parseReliabilityKeys(SpecReader &reader, CampaignSpec &spec)
     spec.scrubIntervalHours =
         reader.getDouble("scrubIntervalHours", spec.scrubIntervalHours);
 
-    parseSamplerKey(reader, spec);
+    parseSamplerKey(reader);
     parseOnDieKey(reader, spec.onDie);
     parseFitOverridesKey(reader, spec.fit);
     if (!reader.ok())
@@ -417,7 +416,7 @@ parseFleetKeys(SpecReader &reader, CampaignSpec &spec)
     spec.fleet.epochHours =
         reader.getDouble("epochHours", spec.fleet.epochHours);
     spec.shardDimms = reader.getUint("shardDimms", spec.shardDimms);
-    parseSamplerKey(reader, spec);
+    parseSamplerKey(reader);
     parseOnDieKey(reader, spec.onDie);
     if (!reader.ok())
         return;
@@ -632,17 +631,6 @@ applyEnvOverrides(CampaignSpec &spec)
     } else if (spec.kind == CampaignKind::Detection) {
         readEnv("XED_TRIALS", spec.trials);
     }
-    if (spec.kind != CampaignKind::Detection) {
-        if (const char *value = std::getenv("XED_MC_SAMPLER")) {
-            const auto sampler = faultsim::parsePoissonSampler(value);
-            if (!sampler)
-                throw std::runtime_error(
-                    std::string("XED_MC_SAMPLER: expected \"knuth\" or "
-                                "\"invcdf\", got \"") +
-                    value + "\"");
-            spec.sampler = *sampler;
-        }
-    }
     readEnv("XED_MC_SEED", spec.seed);
 }
 
@@ -660,7 +648,7 @@ specToJson(const CampaignSpec &spec)
         doc.set("years", spec.years);
         doc.set("epochHours", spec.fleet.epochHours);
         doc.set("shardDimms", spec.shardDimms);
-        doc.set("sampler", faultsim::poissonSamplerName(spec.sampler));
+        doc.set("sampler", "knuth");
         auto onDie = json::Value::object();
         onDie.set("present", spec.onDie.present);
         onDie.set("scalingRate", spec.onDie.scalingRate);
@@ -707,7 +695,7 @@ specToJson(const CampaignSpec &spec)
         doc.set("years", spec.years);
         doc.set("channels", spec.channels);
         doc.set("scrubIntervalHours", spec.scrubIntervalHours);
-        doc.set("sampler", faultsim::poissonSamplerName(spec.sampler));
+        doc.set("sampler", "knuth");
         auto onDie = json::Value::object();
         onDie.set("present", spec.onDie.present);
         onDie.set("scalingRate", spec.onDie.scalingRate);
@@ -817,7 +805,6 @@ mcConfigFor(const CampaignSpec &spec, unsigned point)
     cfg.channels = spec.channels;
     cfg.seed = spec.seed;
     cfg.scrubIntervalHours = spec.scrubIntervalHours;
-    cfg.sampler = spec.sampler;
     cfg.fit = spec.fit;
     cfg.threads = 1; // the campaign runner parallelizes over shards
     if (spec.sweep.active()) {
@@ -837,7 +824,6 @@ fleetConfigFor(const CampaignSpec &spec)
     config.setup = spec.fleet;
     config.seed = spec.seed;
     config.years = spec.years;
-    config.sampler = spec.sampler;
     config.onDie = spec.onDie;
     return config;
 }

@@ -23,7 +23,7 @@
  *     "years": 7,                   // simulated lifetime
  *     "channels": 4,
  *     "scrubIntervalHours": 0,
- *     "sampler": "knuth",           // or "invcdf"; Poisson count draw
+ *     "sampler": "knuth",           // the only value; optional
 
  *     "onDie": {"present": true, "scalingRate": 0,
  *               "detectionEscapeProb": 0.008},
@@ -107,9 +107,10 @@ struct CampaignSpec
     unsigned channels = 4;
     double scrubIntervalHours = 0;
     /**
-     * Poisson fault-count sampler (knuth or invcdf). Part of the
-     * canonical spec form and therefore of the spec hash: a store
-     * written under one sampler cannot be resumed under the other.
+     * Unused: Knuth's loop is the only Poisson fault-count sampler,
+     * and the canonical form always spells "sampler":"knuth". Kept
+     * only because the benchmark harness (perfbench/campaigns.cc)
+     * reads it.
      */
     faultsim::PoissonSampler sampler = faultsim::PoissonSampler::Knuth;
     faultsim::OnDieOptions onDie{};
@@ -123,8 +124,8 @@ struct CampaignSpec
     std::uint64_t trials = 200000;
     std::uint64_t shardTrials = 50000;
 
-    // Fleet campaigns: cohorts + policies + epoch length (years,
-    // sampler and onDie above are shared with reliability). The fleet
+    // Fleet campaigns: cohorts + policies + epoch length (years and
+    // onDie above are shared with reliability). The fleet
     // is one cell sharded by slot-index ranges of shardDimms.
     fleet::FleetSetup fleet;
     std::uint64_t shardDimms = 50000;
@@ -163,11 +164,11 @@ std::optional<CampaignSpec> loadSpecFile(const std::string &path,
 
 /**
  * Apply the bench-compatible environment overrides -- XED_MC_SYSTEMS,
- * XED_MC_SEED, XED_TRIALS, XED_MC_SAMPLER -- to an already-parsed
- * spec. Called before hashing, so a resume under different overrides
- * (a different sampler included) is rejected by the spec-hash check
- * instead of silently mixing shard geometries. Malformed values throw
- * std::runtime_error rather than being silently ignored.
+ * XED_MC_SEED, XED_TRIALS -- to an already-parsed spec. Called before
+ * hashing, so a resume under different overrides is rejected by the
+ * spec-hash check instead of silently mixing shard geometries.
+ * Malformed values throw std::runtime_error rather than being silently
+ * ignored.
  */
 void applyEnvOverrides(CampaignSpec &spec);
 
@@ -222,7 +223,7 @@ faultsim::McConfig mcConfigFor(const CampaignSpec &spec, unsigned point);
 faultsim::OnDieOptions onDieFor(const CampaignSpec &spec, unsigned point);
 
 /** The fleet engine configuration of a fleet spec (setup + seed +
- *  horizon + sampler + on-die options). */
+ *  horizon + on-die options). */
 fleet::FleetConfig fleetConfigFor(const CampaignSpec &spec);
 
 } // namespace xed::campaign

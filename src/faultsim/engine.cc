@@ -57,7 +57,7 @@ runShard(const Scheme &scheme, const McConfig &config,
 
     const double hours = config.years * hoursPerYear;
     const SampleContext ctx(fit, layout, shape, hours,
-                            config.scrubIntervalHours, config.sampler);
+                            config.scrubIntervalHours);
     // Only credit years that were fully simulated: a run with
     // years = 0.5 must not report a year-1 failure probability.
     unsigned creditYears = 0;
@@ -116,17 +116,15 @@ runShard(const Scheme &scheme, const McConfig &config,
             flushProgress();
     };
 
-    // Vector zero-fault filter (Knuth sampler only: its zero test is
-    // one draw + compare per channel). A batch whose streams are all
+    // Vector zero-fault filter (a channel's zero test is one draw +
+    // compare, zero_filter.hh). A batch whose streams are all
     // provably zero-fault is credited without constructing a single
     // Rng -- identical bookkeeping to simulating each zero system --
     // and every other lane re-runs the unmodified scalar body from a
     // freshly derived stream, in ascending order. Results are
     // byte-identical at every level; only the time changes.
     const SimdLevel level = simdLevel();
-    const unsigned filterWidth =
-        config.sampler == PoissonSampler::Knuth ? zeroFilterWidth(level)
-                                                : 0;
+    const unsigned filterWidth = zeroFilterWidth(level);
     std::uint64_t s = begin;
     if (filterWidth != 0) {
         const std::uint32_t allZero = (1u << filterWidth) - 1;
@@ -159,14 +157,10 @@ runShard(const Scheme &scheme, const McConfig &config,
         partial.failByYear[y].addMany(failByYear[y], systemsTotal);
 }
 
-/**
- * Resolve McConfig::threads: 0 = XED_MC_THREADS, else the hardware.
- * A malformed XED_MC_THREADS (garbage, sign, overflow) throws instead
- * of silently wrapping or resolving to "auto"; the explicit value 0
- * keeps its documented "auto" meaning.
- */
+} // namespace
+
 unsigned
-resolveThreads(unsigned requested, std::uint64_t systems)
+resolveThreads(unsigned requested, std::uint64_t work)
 {
     std::uint64_t threads = requested;
     if (threads == 0) {
@@ -182,13 +176,11 @@ resolveThreads(unsigned requested, std::uint64_t systems)
         if (threads == 0)
             threads = 1;
     }
-    // No point spawning workers with empty shards.
+    // No point spawning workers with nothing to do.
     return static_cast<unsigned>(
         std::min<std::uint64_t>(threads, std::max<std::uint64_t>(
-                                             systems, 1)));
+                                             work, 1)));
 }
-
-} // namespace
 
 McResult
 runMonteCarloShard(const Scheme &scheme, const McConfig &config,

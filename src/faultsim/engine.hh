@@ -67,13 +67,9 @@ struct McConfig
      */
     FitTable fit{};
     /**
-     * Poisson fault-count sampler. Knuth (default) is the historical
-     * k+1-uniform loop and is the bit-identical golden path; InvCdf
-     * draws one uniform through a precomputed inverse-CDF table --
-     * statistically exact and deterministic per seed, but a different
-     * draw sequence, so results differ from Knuth by Monte-Carlo
-     * noise only. Campaign specs select it via "sampler": "invcdf"
-     * (part of the spec hash); benches via XED_MC_SAMPLER.
+     * Unused: Knuth's loop is the only Poisson fault-count sampler.
+     * Kept only because the benchmark harness (perfbench/campaigns.cc)
+     * reads it.
      */
     PoissonSampler sampler = PoissonSampler::Knuth;
     /**
@@ -169,6 +165,17 @@ McResult runMonteCarlo(const Scheme &scheme, const McConfig &config);
  */
 McResult runMonteCarloShard(const Scheme &scheme, const McConfig &config,
                             std::uint64_t begin, std::uint64_t end);
+
+/**
+ * Resolve a worker-thread request: @p requested if nonzero, else
+ * XED_MC_THREADS, else std::thread::hardware_concurrency() (at least
+ * 1), capped at @p work units so no worker gets an empty share. A
+ * malformed or out-of-range XED_MC_THREADS (garbage, sign, overflow,
+ * above UINT_MAX) throws std::runtime_error instead of silently
+ * wrapping or resolving to "auto"; an explicit 0 keeps its "auto"
+ * meaning.
+ */
+unsigned resolveThreads(unsigned requested, std::uint64_t work);
 
 } // namespace xed::faultsim
 

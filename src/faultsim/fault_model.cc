@@ -23,22 +23,6 @@ samplePoissonKnuth(Rng &rng, double expNegLambda)
 
 } // namespace
 
-const char *
-poissonSamplerName(PoissonSampler sampler)
-{
-    return sampler == PoissonSampler::InvCdf ? "invcdf" : "knuth";
-}
-
-std::optional<PoissonSampler>
-parsePoissonSampler(std::string_view name)
-{
-    if (name == "knuth")
-        return PoissonSampler::Knuth;
-    if (name == "invcdf")
-        return PoissonSampler::InvCdf;
-    return std::nullopt;
-}
-
 unsigned
 samplePoisson(Rng &rng, double lambda)
 {
@@ -65,10 +49,9 @@ pickFaultKind(const FitTable &fit, double draw)
 SampleContext::SampleContext(const FitTable &fit,
                              const AddressLayout &layout,
                              const DimmShape &shape, double hours,
-                             double scrubIntervalHours,
-                             PoissonSampler sampler)
+                             double scrubIntervalHours, PoissonSampler)
     : layout_(layout), shape_(shape), hours_(hours),
-      scrubIntervalHours_(scrubIntervalHours), sampler_(sampler)
+      scrubIntervalHours_(scrubIntervalHours)
 {
     // Same accumulation order as fit.totalFit() / pickFaultKind's
     // linear scan, so every derived double is bit-identical to the
@@ -89,21 +72,6 @@ SampleContext::SampleContext(const FitTable &fit,
     knuthZeroMax_ = static_cast<std::uint64_t>(
         std::floor(expNegLambda_ * 0x1.0p53));
 
-    // Inverse-CDF table: p_k via the stable recurrence
-    // p_{k+1} = p_k * lambda / (k + 1), accumulated until the CDF
-    // saturates to 1.0 in double precision (k <= ~40 for lambda <= 2;
-    // our workloads sit well below 1). Any uniform in [0, 1) then
-    // lands inside the table; the final entry clamps the (probability
-    // < 2^-53) tail.
-    double p = expNegLambda_;
-    double cdf = p;
-    poissonCdf_[0] = cdf;
-    poissonTerms_ = 1;
-    while (cdf < 1.0 && poissonTerms_ < poissonCdf_.size()) {
-        p *= lambda_ / static_cast<double>(poissonTerms_);
-        cdf += p;
-        poissonCdf_[poissonTerms_++] = cdf;
-    }
 }
 
 std::vector<FaultEvent>

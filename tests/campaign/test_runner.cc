@@ -166,13 +166,13 @@ TEST(CampaignRunner, ResumedStoreIsByteIdentical)
     }
 }
 
-TEST(CampaignRunner, ResumeUnderDifferentSamplerIsRejected)
+TEST(CampaignRunner, ResumeUnderDifferentSpecHashIsRejected)
 {
-    // The sampler is part of the spec hash: a store written under
-    // knuth must refuse to resume under invcdf (the merged result
-    // would silently mix two different draw sequences).
+    // Every result-affecting field is part of the spec hash: a store
+    // written under one scrub interval must refuse to resume under
+    // another (the merged result would silently mix two models).
     auto spec = reliabilitySpec();
-    const auto path = ::testing::TempDir() + "runner_sampler.jsonl";
+    const auto path = ::testing::TempDir() + "runner_spec_hash.jsonl";
     removeIfPresent(path);
 
     auto options = inMemory(1);
@@ -180,7 +180,7 @@ TEST(CampaignRunner, ResumeUnderDifferentSamplerIsRejected)
     options.maxShards = 3;
     ASSERT_TRUE(runCampaign(spec, options).ok);
 
-    spec.sampler = faultsim::PoissonSampler::InvCdf;
+    spec.scrubIntervalHours = 168;
     options.maxShards = 0;
     options.resume = true;
     const auto crossResume = runCampaign(spec, options);
@@ -188,8 +188,8 @@ TEST(CampaignRunner, ResumeUnderDifferentSamplerIsRejected)
     EXPECT_NE(crossResume.error.find("hash"), std::string::npos)
         << crossResume.error;
 
-    // Under the original sampler the same store resumes cleanly.
-    spec.sampler = faultsim::PoissonSampler::Knuth;
+    // Under the original spec the same store resumes cleanly.
+    spec.scrubIntervalHours = 0;
     const auto resumed = runCampaign(spec, options);
     ASSERT_TRUE(resumed.ok) << resumed.error;
     EXPECT_TRUE(resumed.complete);

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <gtest/gtest.h>
 #include <stdexcept>
+#include <utility>
 
 #include "campaign/spec.hh"
 
@@ -231,52 +232,29 @@ TEST(CampaignSpec, EnvOverridesApplyAndAffectTheHash)
     EXPECT_NE(specHash(spec), baseHash);
 }
 
-TEST(CampaignSpec, SamplerParsesRoundTripsAndAffectsTheHash)
+TEST(CampaignSpec, SamplerKeyAcceptsOnlyKnuth)
 {
-    // Knuth is the default and need not be spelled out.
+    // Knuth's loop is the only sampler. The key stays accepted so old
+    // spec files and store manifests parse, and spelling it out does
+    // not change the hash.
     const auto def = parseOrDie(kMinimal);
-    EXPECT_EQ(def.sampler, faultsim::PoissonSampler::Knuth);
-
-    const auto inv = parseOrDie(R"({
+    const auto knuth = parseOrDie(R"({
         "name": "t", "seed": 7, "schemes": ["xed"],
-        "systems": 100, "shardSystems": 30, "sampler": "invcdf"
+        "systems": 100, "shardSystems": 30, "sampler": "knuth"
     })");
-    EXPECT_EQ(inv.sampler, faultsim::PoissonSampler::InvCdf);
-    EXPECT_EQ(mcConfigFor(inv, 0).sampler,
-              faultsim::PoissonSampler::InvCdf);
-
-    // Unknown sampler names are rejected, naming the offender.
-    EXPECT_NE(parseError(R"({"name":"t","seed":1,"schemes":["xed"],)"
-                         R"("sampler":"gamma"})")
-                  .find("gamma"),
+    EXPECT_EQ(specHash(knuth), specHash(def));
+    EXPECT_NE(json::dump(specToJson(def)).find("\"sampler\":\"knuth\""),
               std::string::npos);
 
-    // Switching samplers changes every sampled fault set, so it must
-    // change the hash (and thereby poison cross-sampler resumes).
-    EXPECT_NE(specHash(def), specHash(inv));
-
-    // Canonical JSON spells the sampler out and round-trips it.
-    std::string error;
-    const auto doc = specToJson(inv);
-    EXPECT_NE(json::dump(doc).find("\"sampler\":\"invcdf\""),
-              std::string::npos);
-    auto reparsed = parseSpec(doc, &error);
-    ASSERT_TRUE(reparsed) << error;
-    EXPECT_EQ(reparsed->sampler, faultsim::PoissonSampler::InvCdf);
-    EXPECT_EQ(specHash(*reparsed), specHash(inv));
-}
-
-TEST(CampaignSpec, SamplerEnvOverrideAppliesAndRejectsGarbage)
-{
-    auto spec = parseOrDie(kMinimal);
-    ::setenv("XED_MC_SAMPLER", "invcdf", 1);
-    applyEnvOverrides(spec);
-    ::unsetenv("XED_MC_SAMPLER");
-    EXPECT_EQ(spec.sampler, faultsim::PoissonSampler::InvCdf);
-
-    ::setenv("XED_MC_SAMPLER", "poisson", 1);
-    EXPECT_THROW(applyEnvOverrides(spec), std::runtime_error);
-    ::unsetenv("XED_MC_SAMPLER");
+    // Any other name is rejected, naming the offender and the one
+    // accepted value.
+    for (const char *name : {"invcdf", "gamma"}) {
+        const std::string error = parseError(
+            std::string(R"({"name":"t","seed":1,"schemes":["xed"],)") +
+            R"("sampler":")" + name + R"("})");
+        EXPECT_NE(error.find(name), std::string::npos) << error;
+        EXPECT_NE(error.find("knuth"), std::string::npos) << error;
+    }
 }
 
 TEST(CampaignSpec, MalformedEnvOverridesThrow)
@@ -293,12 +271,25 @@ TEST(CampaignSpec, MalformedEnvOverridesThrow)
 
 TEST(CampaignSpec, ShippedSpecFilesParse)
 {
-    const char *files[] = {"fig07.json", "fig08.json", "table2.json",
-                           "smoke.json", "sweep_scaling.json"};
-    for (const char *file : files) {
+    // Every shipped spec parses, and its hash is pinned: a change to
+    // the canonical form (a key, its spelling, a default) would orphan
+    // every existing store of that spec.
+    const std::pair<const char *, const char *> files[] = {
+        {"dist_smoke.json", "8357c57c355715d0"},
+        {"fig07.json", "f0343b0b467ffe77"},
+        {"fig08.json", "b513915b5c7d652a"},
+        {"fleet_1m.json", "2e0b6d6c1cebb17e"},
+        {"fleet_smoke.json", "f0052363c9f1060b"},
+        {"smoke.json", "f20316b89abd7b83"},
+        {"status_smoke.json", "10e8af2bf83f09ea"},
+        {"sweep_scaling.json", "d4b65a2aa3d2e999"},
+        {"table2.json", "33077bad71bf295d"},
+    };
+    for (const auto &[file, hash] : files) {
         std::string error;
         auto spec = loadSpecFile(std::string(XED_SPEC_DIR "/") + file,
                                  &error);
-        EXPECT_TRUE(spec) << file << ": " << error;
+        ASSERT_TRUE(spec) << file << ": " << error;
+        EXPECT_EQ(specHash(*spec), hash) << file;
     }
 }
