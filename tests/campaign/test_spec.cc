@@ -232,27 +232,47 @@ TEST(CampaignSpec, EnvOverridesApplyAndAffectTheHash)
     EXPECT_NE(specHash(spec), baseHash);
 }
 
-TEST(CampaignSpec, SamplerKeyAcceptsOnlyKnuth)
+TEST(CampaignSpec, SamplerParsesRoundTripsAndAffectsTheHash)
 {
     // Knuth's loop is the only sampler. The key stays accepted so old
-    // spec files and store manifests parse, and spelling it out does
-    // not change the hash.
+    // spec files and store manifests parse. The canonical form, which
+    // is what the hash covers, always spells it, so spelling it out in
+    // the input does not change the hash.
     const auto def = parseOrDie(kMinimal);
     const auto knuth = parseOrDie(R"({
         "name": "t", "seed": 7, "schemes": ["xed"],
         "systems": 100, "shardSystems": 30, "sampler": "knuth"
     })");
     EXPECT_EQ(specHash(knuth), specHash(def));
-    EXPECT_NE(json::dump(specToJson(def)).find("\"sampler\":\"knuth\""),
+
+    const auto doc = specToJson(def);
+    EXPECT_NE(json::dump(doc).find("\"sampler\":\"knuth\""),
+              std::string::npos);
+    std::string error;
+    auto reparsed = parseSpec(doc, &error);
+    ASSERT_TRUE(reparsed) << error;
+    EXPECT_EQ(specHash(*reparsed), specHash(def));
+}
+
+TEST(PoissonSampler, NamesRoundTrip)
+{
+    // Specs name the one sampler "knuth": it parses and the canonical
+    // form writes it back. Any other name is rejected, naming the
+    // offender and the one accepted value.
+    const auto knuth = parseOrDie(R"({
+        "name": "t", "seed": 7, "schemes": ["xed"],
+        "systems": 100, "shardSystems": 30, "sampler": "knuth"
+    })");
+    EXPECT_NE(json::dump(specToJson(knuth)).find("\"sampler\":\"knuth\""),
               std::string::npos);
 
-    // Any other name is rejected, naming the offender and the one
-    // accepted value.
-    for (const char *name : {"invcdf", "gamma"}) {
+    for (const char *name : {"invcdf", "gamma", "poisson", "Knuth", ""}) {
         const std::string error = parseError(
             std::string(R"({"name":"t","seed":1,"schemes":["xed"],)") +
-            R"("sampler":")" + name + R"("})");
-        EXPECT_NE(error.find(name), std::string::npos) << error;
+            R"("systems":100,"sampler":")" + name + R"("})");
+        EXPECT_NE(error.find(std::string("\"") + name + "\""),
+                  std::string::npos)
+            << error;
         EXPECT_NE(error.find("knuth"), std::string::npos) << error;
     }
 }
